@@ -3,8 +3,10 @@
 namespace mgjoin {
 
 WallProfiler& WallProfiler::Global() {
-  static WallProfiler prof;
-  return prof;
+  // Never destroyed: other function-local statics (the bench report)
+  // read it from their own destructors at exit.
+  static WallProfiler* const prof = new WallProfiler;
+  return *prof;
 }
 
 void WallProfiler::Add(const std::string& phase, double seconds) {

@@ -147,14 +147,7 @@ Result<JoinResult> MgJoin::Execute(const data::DistRelation& r,
   std::vector<int> dense(topo_->num_gpus(), -1);
   for (int d = 0; d < g; ++d) dense[gpus_[d]] = d;
 
-  // The parallel event core is opt-in: an explicit sim_threads (or
-  // MGJ_SIM_THREADS) selects kParallel, anything else keeps the serial
-  // calendar queue. Either way the simulated results are byte-identical
-  // (DESIGN.md Sec 16).
-  sim::Simulator net_sim(
-      sim::Simulator::ResolveSimThreads(options_.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
+  sim::Simulator net_sim;
   auto policy = net::MakePolicy(options_.policy,
                                 options_.transfer.max_intermediates);
   net::TransferEngine engine(&net_sim, topo_, gpus_, policy.get(),

@@ -214,10 +214,7 @@ sim::SimTime SoloLatency(const topo::Topology* topo,
   PreparedQuery p = prepared;  // private arrival state
   p.admit_at = 0;
   if (p.payload_bytes == 0) return CompleteTime(p, jopts.overlap);
-  sim::Simulator sim(
-      sim::Simulator::ResolveSimThreads(jopts.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
+  sim::Simulator sim;
   auto policy =
       net::MakePolicy(jopts.policy, jopts.transfer.max_intermediates);
   net::TransferOptions topts = jopts.transfer;
@@ -299,14 +296,8 @@ Result<ServiceResult> QueryScheduler::Run(
     }
   }
 
-  // ---- Shared fabric: one simulator, one engine, all tenants. The
-  // parallel core keeps the wire contract (DESIGN.md Sec 16), so the
-  // SLO reports and traces are byte-identical at any MGJ_SIM_THREADS.
-  sim::Simulator sim(
-      sim::Simulator::ResolveSimThreads(
-          options_.join.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
+  // ---- Shared fabric: one simulator, one engine, all tenants.
+  sim::Simulator sim;
   auto policy = net::MakePolicy(options_.join.policy,
                                 options_.join.transfer.max_intermediates);
   net::TransferOptions topts = options_.join.transfer;

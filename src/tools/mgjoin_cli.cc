@@ -3,7 +3,7 @@
 //   mgjoin topo  [--machine dgx1|dgxstation|dgx2]
 //   mgjoin join  [--gpus N] [--tuples N] [--policy P] [--zipf Z]
 //                [--key-zipf Z] [--packet-kb N] [--scale S]
-//                [--threads N] [--sim-threads N] [--no-compression]
+//                [--threads N] [--no-compression]
 //                [--links]
 //                [--trace=out.json] [--metrics]
 //                [--telemetry=out.om] [--telemetry-csv=out.csv]
@@ -12,7 +12,7 @@
 //   mgjoin serve [--queries N] [--inflight N]
 //                [--arbitration fifo|fair|priority] [--machine M]
 //                [--gpus N] [--tuples N] [--zipf Z] [--key-zipf Z]
-//                [--scale S] [--threads N] [--sim-threads N] [--no-solo]
+//                [--scale S] [--threads N] [--no-solo]
 //                [--faults=SPEC]
 //                [--trace=out.json] [--telemetry=out.om]
 //   mgjoin tpch  [--query 3|5|10|12|14|19|all] [--sf F] [--virtual-sf F]
@@ -176,10 +176,6 @@ int CmdJoin(const Args& args) {
 
   join::MgJoinOptions opts;
   opts.host_threads = threads;
-  // Simulator worker threads: > 0 selects the conservative parallel
-  // event core (byte-identical results; DESIGN.md Sec 16).
-  opts.transfer.sim_threads =
-      static_cast<int>(args.GetI("sim-threads", 0));
   opts.policy = ParsePolicy(args.Get("policy", "adaptive"));
   opts.transfer.packet_bytes =
       static_cast<std::uint64_t>(args.GetI("packet-kb", 2048)) * kKiB;
@@ -341,8 +337,6 @@ int CmdServe(const Args& args) {
   opts.join.virtual_scale = args.GetD("scale", 256.0);
   const int threads = static_cast<int>(args.GetI("threads", 0));
   opts.join.host_threads = threads;
-  opts.join.transfer.sim_threads =
-      static_cast<int>(args.GetI("sim-threads", 0));
 
   const std::string fault_spec = args.Get("faults", "");
   if (!fault_spec.empty()) {
@@ -577,8 +571,6 @@ void Usage() {
                "--no-compression\n"
                "        --threads N (host worker threads; 0 = MGJ_THREADS"
                " env, then hardware)\n"
-               "        --sim-threads N (parallel event core workers; 0 ="
-               " MGJ_SIM_THREADS env, unset = serial)\n"
                "        --trace=out.json --metrics\n"
                "        --telemetry=out.om --telemetry-csv=out.csv "
                "--sample-every=250us\n"

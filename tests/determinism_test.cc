@@ -338,13 +338,11 @@ struct ServiceRun {
   std::uint64_t checksum = 0;
 };
 
-ServiceRun RunFaultedService(std::size_t threads, net::ArbitrationKind kind,
-                             int sim_threads = 0) {
+ServiceRun RunFaultedService(std::size_t threads, net::ArbitrationKind kind) {
   ThreadPool::SetDefaultThreads(threads);
   auto topo = topo::MakeDgx1V();
   svc::ServiceOptions opts;
   opts.arbitration = kind;
-  opts.join.transfer.sim_threads = sim_threads;
   opts.join.virtual_scale = 512;  // stretch the shuffle into the faults
   opts.join.transfer.faults =
       net::FaultPlan::Parse(
@@ -383,32 +381,6 @@ TEST(DeterminismTest, ServiceRunInvariantAcrossThreadCounts) {
     EXPECT_EQ(run.checksum, base.checksum) << label;
     EXPECT_EQ(run.slo_text, base.slo_text) << label;
     EXPECT_EQ(run.trace_json, base.trace_json) << label;
-  }
-  ThreadPool::SetDefaultThreads(0);
-}
-
-TEST(DeterminismTest, ParallelEventCoreInvariantOnFaultedService) {
-  // The conservative parallel event core (QueueKind::kParallel, selected
-  // by transfer.sim_threads > 0) must reproduce the serial kCalendar
-  // core byte for byte on the hardest workload we have: a faulted
-  // 8-GPU adaptive multi-tenant service run — identical trace JSON,
-  // SLO report and join checksum at every event-core worker count,
-  // under all three arbitration policies.
-  for (const net::ArbitrationKind kind :
-       {net::ArbitrationKind::kFifo, net::ArbitrationKind::kFairShare,
-        net::ArbitrationKind::kPriority}) {
-    const std::string label = net::ArbitrationKindName(kind);
-    const ServiceRun base = RunFaultedService(4, kind, /*sim_threads=*/0);
-    EXPECT_GT(base.checksum, 0u) << label;
-    for (const int sim_threads : {1, 2, 8}) {
-      const ServiceRun run = RunFaultedService(4, kind, sim_threads);
-      EXPECT_EQ(run.checksum, base.checksum)
-          << label << " sim_threads=" << sim_threads;
-      EXPECT_EQ(run.slo_text, base.slo_text)
-          << label << " sim_threads=" << sim_threads;
-      EXPECT_EQ(run.trace_json, base.trace_json)
-          << label << " sim_threads=" << sim_threads;
-    }
   }
   ThreadPool::SetDefaultThreads(0);
 }

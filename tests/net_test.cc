@@ -3,10 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <tuple>
-#include <utility>
 
 #include "common/units.h"
 #include "net/fault_plan.h"
@@ -232,7 +229,7 @@ EngineRun RunFlows(PolicyKind kind, const std::vector<int>& gpus,
 TEST(TransferEngineTest, DeliversSingleFlowExactly) {
   const std::uint64_t bytes = 37 * kMiB + 12345;  // non-multiple of packet
   auto run = RunFlows(PolicyKind::kAdaptive, {0, 1, 2, 3},
-                      {Flow{1, 0, 1, bytes, 0, 0.0, {}}});
+                      {Flow{1, 0, 1, bytes, 0, 0.0, 0, {}}});
   EXPECT_EQ(run.stats.payload_bytes, bytes);
   EXPECT_EQ(run.delivered_per_flow[1], bytes);
   EXPECT_GT(run.stats.Makespan(), 0u);
@@ -245,7 +242,7 @@ TEST(TransferEngineTest, ConservationAcrossManyFlows) {
     for (int d = 0; d < 8; ++d) {
       if (s == d) continue;
       const std::uint64_t b = 8 * kMiB + s * 1000 + d;
-      flows.push_back(Flow{id++, s, d, b, 0, 0.0, {}});
+      flows.push_back(Flow{id++, s, d, b, 0, 0.0, 0, {}});
       total += b;
     }
   }
@@ -261,7 +258,7 @@ TEST(TransferEngineTest, AllPoliciesDeliverEverything) {
   std::uint64_t id = 0;
   for (int s = 0; s < 4; ++s) {
     for (int d = 0; d < 4; ++d) {
-      if (s != d) flows.push_back(Flow{id++, s, d, 16 * kMiB, 0, 0.0, {}});
+      if (s != d) flows.push_back(Flow{id++, s, d, 16 * kMiB, 0, 0.0, 0, {}});
     }
   }
   for (PolicyKind kind :
@@ -283,7 +280,7 @@ TEST(TransferEngineTest, MultiHopBeatsDirectOnCongestedStagedPairs) {
   const std::vector<int> gpus{0, 1, 4, 5};
   for (int s : gpus) {
     for (int d : gpus) {
-      if (s != d) flows.push_back(Flow{id++, s, d, 256 * kMiB, 0, 0.0, {}});
+      if (s != d) flows.push_back(Flow{id++, s, d, 256 * kMiB, 0, 0.0, 0, {}});
     }
   }
   auto direct = RunFlows(PolicyKind::kDirect, gpus, flows);
@@ -296,14 +293,14 @@ TEST(TransferEngineTest, PacketsNeverExceedConfiguredSize) {
   TransferOptions opts;
   opts.packet_bytes = 1 * kMiB;
   auto run = RunFlows(PolicyKind::kAdaptive, {0, 1},
-                      {Flow{0, 0, 1, 10 * kMiB + 7, 0, 0.0, {}}}, opts);
+                      {Flow{0, 0, 1, 10 * kMiB + 7, 0, 0.0, 0, {}}}, opts);
   EXPECT_EQ(run.stats.packets, 11u);  // 10 full + 1 tail
 }
 
 TEST(TransferEngineTest, ProgressiveGenerationDelaysCompletion) {
   // Producing at ~5 GB/s must stretch the distribution versus all-at-0.
-  Flow eager{0, 0, 1, 512 * kMiB, 0, 0.0, {}};
-  Flow paced{0, 0, 1, 512 * kMiB, 0, 5.0 * kGBps, {}};
+  Flow eager{0, 0, 1, 512 * kMiB, 0, 0.0, 0, {}};
+  Flow paced{0, 0, 1, 512 * kMiB, 0, 5.0 * kGBps, 0, {}};
   auto fast = RunFlows(PolicyKind::kAdaptive, {0, 1}, {eager});
   auto slow = RunFlows(PolicyKind::kAdaptive, {0, 1}, {paced});
   EXPECT_GT(slow.stats.last_delivery, fast.stats.last_delivery);
@@ -315,7 +312,7 @@ TEST(TransferEngineTest, CentralizedPaysControlOverhead) {
   std::uint64_t id = 0;
   for (int s = 0; s < 4; ++s) {
     for (int d = 0; d < 4; ++d) {
-      if (s != d) flows.push_back(Flow{id++, s, d, 64 * kMiB, 0, 0.0, {}});
+      if (s != d) flows.push_back(Flow{id++, s, d, 64 * kMiB, 0, 0.0, 0, {}});
     }
   }
   auto central =
@@ -338,7 +335,7 @@ TEST(TransferEngineTest, TinyRingBufferStillCompletes) {
   std::uint64_t id = 0;
   for (int s = 0; s < 8; ++s) {
     for (int d = 0; d < 8; ++d) {
-      if (s != d) flows.push_back(Flow{id++, s, d, 32 * kMiB, 0, 0.0, {}});
+      if (s != d) flows.push_back(Flow{id++, s, d, 32 * kMiB, 0, 0.0, 0, {}});
     }
   }
   auto run =
@@ -360,7 +357,7 @@ TEST(TransferEngineTest, DeadlockRegressionEscapeValveFires) {
   std::uint64_t id = 0;
   for (int s = 0; s < 8; ++s) {
     for (int d = 0; d < 8; ++d) {
-      if (s != d) flows.push_back(Flow{id++, s, d, 32 * kMiB, 0, 0.0, {}});
+      if (s != d) flows.push_back(Flow{id++, s, d, 32 * kMiB, 0, 0.0, 0, {}});
     }
   }
   auto run =
@@ -399,7 +396,7 @@ TEST(TransferStatsTest, DirectTrafficHasZeroIntermediateHops) {
 }
 
 TEST(TransferEngineTest, WireBytesAtLeastPayload) {
-  std::vector<Flow> flows{{0, 0, 7, 64 * kMiB, 0, 0.0, {}}};
+  std::vector<Flow> flows{{0, 0, 7, 64 * kMiB, 0, 0.0, 0, {}}};
   auto run = RunFlows(PolicyKind::kAdaptive, topo::FirstNGpus(8), flows);
   // Multi-hop traffic traverses more wire than payload delivered.
   EXPECT_GE(run.stats.wire_bytes, run.stats.payload_bytes);
@@ -410,7 +407,7 @@ TEST(TransferEngineTest, UtilizationReportListsBusyLinks) {
   auto topo = MakeDgx1V();
   auto policy = MakePolicy(PolicyKind::kAdaptive);
   TransferEngine eng(&s, topo.get(), {0, 1}, policy.get(), {});
-  eng.AddFlow(Flow{0, 0, 1, 64 * kMiB, 0, 0.0, {}});
+  eng.AddFlow(Flow{0, 0, 1, 64 * kMiB, 0, 0.0, 0, {}});
   eng.Start();
   s.Run();
   const std::string report = eng.links().UtilizationReport(
@@ -431,7 +428,7 @@ TEST(TransferEngineTest, Dgx2SixteenGpuAllToAllCompletes) {
   for (int a = 0; a < 16; ++a) {
     for (int b = 0; b < 16; ++b) {
       if (a == b) continue;
-      eng.AddFlow(Flow{id++, a, b, 8 * kMiB, 0, 0.0, {}});
+      eng.AddFlow(Flow{id++, a, b, 8 * kMiB, 0, 0.0, 0, {}});
       total += 8 * kMiB;
     }
   }
@@ -442,80 +439,9 @@ TEST(TransferEngineTest, Dgx2SixteenGpuAllToAllCompletes) {
   EXPECT_LT(eng.stats().AvgIntermediateHops(), 0.05);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel delivery staging: with a kParallel simulator and
-// parallel_delivery on, final-hop notifications are staged into the
-// destination GPU's partition at send time. The *set* of deliveries
-// (dst, flow, packet, time, bytes) and the engine stats must match the
-// serial engine exactly at any worker count; only the callback
-// interleaving across destination partitions may differ, so rows are
-// compared sorted.
-
-struct DeliveryRow {
-  int dst;
-  std::uint64_t flow;
-  std::uint64_t packet;
-  sim::SimTime when;
-  std::uint32_t bytes;
-  auto Key() const { return std::tie(dst, flow, packet, when, bytes); }
-  bool operator<(const DeliveryRow& o) const { return Key() < o.Key(); }
-  bool operator==(const DeliveryRow& o) const { return Key() == o.Key(); }
-};
-
-std::pair<std::vector<DeliveryRow>, TransferStats> ParallelDeliveryRun(
-    bool parallel, int threads) {
-  sim::Simulator s(parallel ? sim::QueueKind::kParallel
-                            : sim::QueueKind::kCalendar);
-  auto topo = MakeDgx1V();
-  auto policy = MakePolicy(PolicyKind::kAdaptive);
-  TransferOptions opts;
-  opts.sim_threads = threads;
-  opts.parallel_delivery = parallel;
-  opts.ring_buffer_bytes = 8 * kMiB;
-  opts.faults = FaultPlan::Parse(
-                    "degrade:qpi0:0.4:@0us,down:gpu0-gpu3:@1ms,"
-                    "restore:gpu0-gpu3:@4ms",
-                    *topo)
-                    .ValueOrDie();
-  TransferEngine eng(&s, topo.get(), topo::FirstNGpus(8), policy.get(),
-                     opts);
-  std::vector<DeliveryRow> rows;
-  eng.set_deliver_callback([&rows](const Packet& p, sim::SimTime when) {
-    rows.push_back({p.final_dst(), p.flow_id, p.id, when, p.payload_bytes});
-  });
-  std::uint64_t id = 0;
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      if (a != b) eng.AddFlow(Flow{id++, a, b, 12 * kMiB + a + b, 0, 0.0, {}});
-    }
-  }
-  eng.Start();
-  s.Run();
-  EXPECT_TRUE(eng.AllDone());
-  std::sort(rows.begin(), rows.end());
-  return {std::move(rows), eng.stats()};
-}
-
-TEST(TransferEngineTest, ParallelDeliveryMatchesSerialAtAnyWorkerCount) {
-  const auto [serial_rows, serial_stats] =
-      ParallelDeliveryRun(/*parallel=*/false, /*threads=*/0);
-  ASSERT_FALSE(serial_rows.empty());
-  for (int workers : {1, 2, 8}) {
-    const auto [par_rows, par_stats] =
-        ParallelDeliveryRun(/*parallel=*/true, workers);
-    EXPECT_TRUE(par_rows == serial_rows)
-        << "delivery set diverged at " << workers << " workers ("
-        << par_rows.size() << " vs " << serial_rows.size() << " rows)";
-    EXPECT_EQ(par_stats.payload_bytes, serial_stats.payload_bytes);
-    EXPECT_EQ(par_stats.wire_bytes, serial_stats.wire_bytes);
-    EXPECT_EQ(par_stats.packets, serial_stats.packets);
-    EXPECT_EQ(par_stats.last_delivery, serial_stats.last_delivery);
-  }
-}
-
 TEST(TransferEngineTest, ThroughputSaneForSingleNvLinkFlow) {
   auto run = RunFlows(PolicyKind::kDirect, {0, 1},
-                      {Flow{0, 0, 1, 1 * kGiB, 0, 0.0, {}}});
+                      {Flow{0, 0, 1, 1 * kGiB, 0, 0.0, 0, {}}});
   const double gbps = run.stats.Throughput() / kGBps;
   // One NV1 link at 2 MiB packets: ~22 GB/s effective, minus batch
   // overheads; with 2 DMA engines the link stays saturated.
