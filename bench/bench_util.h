@@ -123,7 +123,9 @@ class EnvObs {
   }
 
   /// Writes the trace file / prints metrics. Idempotent; runs from the
-  /// destructor on normal exit and from the AtFatal hook on aborts.
+  /// destructor on normal exit and from the AtFatal hook on aborts. An
+  /// engine folds its net.* counters into the registry when it is
+  /// destroyed, so an abort flush shows none for the run that aborted.
   void Flush() {
     if (flushed_) return;
     flushed_ = true;
@@ -135,7 +137,7 @@ class EnvObs {
     }
     if (metrics_enabled_) {
       std::fprintf(stderr, "# MGJ_METRICS\n%s",
-                   metrics_.Summary(metrics_window_).c_str());
+                   metrics_.Summary().c_str());
     }
     if (!telemetry_path_.empty()) {
       std::vector<const obs::TelemetrySampler*> runs;
@@ -178,7 +180,6 @@ class EnvObs {
   bool flushed_ = false;
   obs::TraceRecorder trace_;
   obs::MetricsRegistry metrics_;
-  sim::SimTime metrics_window_ = sim::kSecond;
   sim::SimTime sample_every_ = obs::TelemetrySampler::kDefaultInterval;
   std::vector<std::unique_ptr<obs::TelemetrySampler>> samplers_;
 };

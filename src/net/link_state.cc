@@ -1,7 +1,6 @@
 #include "net/link_state.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "common/logging.h"
@@ -47,23 +46,26 @@ LinkStateTable::LinkStateTable(sim::Simulator* sim,
   fair_active_.assign(dirs, 0);
   prio_active_.assign(dirs * kPriorityClasses, 0);
   dir_tracks_.assign(dirs, -1);
-  dir_timelines_.assign(dirs, nullptr);
   avail_.Reset(topo->num_links());
   if (hooks_.telemetry != nullptr) {
-    // Per-link-direction occupancy probes: the sampled queue delay and
-    // cumulative busy time turn end-of-run link aggregates into
-    // time-resolved series. Iteration order (link id, then fwd/rev) is
-    // fixed, keeping the export deterministic.
+    // Per-link-direction occupancy at the tick time `t` (ticks run
+    // between events, and busy_ counts wire time booked past `t`): legs
+    // on one direction never overlap and a leg starting after `t`
+    // follows the previous one back-to-back, so the time booked past `t`
+    // is exactly the queue delay at `t` (DESIGN.md Sec 14). Iteration
+    // order (link id, then fwd/rev) keeps the export deterministic.
     for (int link_id = 0; link_id < topo->num_links(); ++link_id) {
       for (int dir = 0; dir < 2; ++dir) {
         const topo::LinkDir ld{link_id, dir};
         hooks_.telemetry->AddProbe(
-            DirName(ld) + ".queue_ps", [this, ld] {
-              return static_cast<std::uint64_t>(TrueQueueDelay(ld));
+            DirName(ld) + ".queue_ps", [this, ld](sim::SimTime t) {
+              return static_cast<std::uint64_t>(QueueDelayAt(ld, t));
             });
-        hooks_.telemetry->AddProbe(DirName(ld) + ".busy_ps", [this, ld] {
-          return static_cast<std::uint64_t>(BusyTime(ld));
-        });
+        hooks_.telemetry->AddProbe(
+            DirName(ld) + ".busy_ps", [this, ld](sim::SimTime t) {
+              return static_cast<std::uint64_t>(BusyTime(ld) -
+                                                QueueDelayAt(ld, t));
+            });
       }
     }
   }
@@ -95,13 +97,7 @@ void LinkStateTable::RecordLeg(topo::LinkDir ld, sim::SimTime start,
                        {{"bytes", bytes}, {"queue_ns", queue_ns}});
   }
   if (hooks_.metrics != nullptr) {
-    // Pre-resolved on first use per direction: this runs once per
-    // transmitted leg, and the by-name path (string build + map walk)
-    // costs more than the whole record. Lazy, like dir_tracks_, so
-    // untouched links never materialize registry families.
-    obs::Timeline*& tl = dir_timelines_[Index(ld)];
-    if (tl == nullptr) tl = &hooks_.metrics->timeline(DirName(ld));
-    tl->AddBusy(start, end);
+    // Resolved once: the by-name path costs more than the record.
     if (!link_queue_hist_) {
       link_queue_hist_ = obs::MetricsRegistry::ResolveHistogram(
           hooks_.metrics, "net.link_queue_ns");
@@ -363,9 +359,13 @@ std::string LinkStateTable::HealthReport() const {
 }
 
 sim::SimTime LinkStateTable::TrueQueueDelay(topo::LinkDir ld) const {
+  return QueueDelayAt(ld, sim_->Now());
+}
+
+sim::SimTime LinkStateTable::QueueDelayAt(topo::LinkDir ld,
+                                          sim::SimTime t) const {
   const sim::SimTime free_at = next_free_[Index(ld)];
-  const sim::SimTime now = sim_->Now();
-  return free_at > now ? free_at - now : 0;
+  return free_at > t ? free_at - t : 0;
 }
 
 sim::SimTime LinkStateTable::PublishedQueueDelay(topo::LinkDir ld) const {
@@ -378,29 +378,6 @@ sim::SimTime LinkStateTable::BusyTime(topo::LinkDir ld) const {
 
 std::uint64_t LinkStateTable::BytesMoved(topo::LinkDir ld) const {
   return bytes_[Index(ld)];
-}
-
-std::string LinkStateTable::UtilizationReport(sim::SimTime window) const {
-  std::string out =
-      "link                     dir    bytes        busy_ms  util%\n";
-  char line[160];
-  for (const topo::Link& l : topo_->links()) {
-    for (int dir = 0; dir < 2; ++dir) {
-      const std::size_t di = Index({l.id, dir});
-      if (bytes_[di] == 0) continue;
-      const double util =
-          window == 0 ? 0.0
-                      : 100.0 * static_cast<double>(busy_[di]) /
-                            static_cast<double>(window);
-      std::snprintf(line, sizeof(line),
-                    "%-24s %-6s %-12llu %-8.2f %-6.1f\n",
-                    l.ToString().c_str(), dir == 0 ? "a->b" : "b->a",
-                    static_cast<unsigned long long>(bytes_[di]),
-                    sim::ToMillis(busy_[di]), util);
-      out += line;
-    }
-  }
-  return out;
 }
 
 void LinkStateTable::MaybePublish(topo::LinkDir ld) {

@@ -61,8 +61,9 @@ class LinkStateTable {
 
   /// `hooks` is optional: an attached trace recorder receives one
   /// occupancy span per physical link direction per reservation leg; an
-  /// attached metrics registry accumulates per-link busy timelines
-  /// ("link.<name>.fwd|rev").
+  /// attached metrics registry accumulates the per-leg queueing
+  /// histogram ("net.link_queue_ns"); an attached telemetry sampler gets
+  /// per-direction "link.<name>.fwd|rev.busy_ps|queue_ps" probes.
   LinkStateTable(sim::Simulator* sim, const topo::Topology* topo,
                  obs::ObsHooks hooks = {});
 
@@ -131,16 +132,14 @@ class LinkStateTable {
   /// inflating the virtual-time penalty of the surviving tenants.
   void UnregisterQuery(std::uint64_t query_id);
 
-  /// Currently registered tenants.
-  int active_queries() const { return static_cast<int>(query_arb_.size()); }
-
   /// True (owner-side) queuing delay of a link direction right now.
   sim::SimTime TrueQueueDelay(topo::LinkDir ld) const;
 
   /// Queuing delay as last broadcast to remote GPUs.
   sim::SimTime PublishedQueueDelay(topo::LinkDir ld) const;
 
-  /// Cumulative busy time of a link direction (for utilization stats).
+  /// Cumulative busy time booked on a link direction, including legs
+  /// that end after Now() (for utilization stats).
   sim::SimTime BusyTime(topo::LinkDir ld) const;
 
   /// Cumulative payload bytes moved over a link direction.
@@ -194,10 +193,6 @@ class LinkStateTable {
   /// the whole fabric is up.
   std::string HealthReport() const;
 
-  /// Per-link utilization table ("link, dir, bytes, busy_ms, util%"),
-  /// with utilization relative to `window` (e.g. a run's makespan).
-  std::string UtilizationReport(sim::SimTime window) const;
-
   const topo::Topology& topo() const { return *topo_; }
   sim::SimTime Now() const;
 
@@ -205,6 +200,8 @@ class LinkStateTable {
   std::size_t Index(topo::LinkDir ld) const {
     return static_cast<std::size_t>(ld.link_id) * 2 + ld.dir;
   }
+  /// Wire time booked on `ld` past time `t` (0 once it drains).
+  sim::SimTime QueueDelayAt(topo::LinkDir ld, sim::SimTime t) const;
   void MaybePublish(topo::LinkDir ld);
   void ApplyFaultEvent(const FaultEvent& ev);
   double links_eff_bw_(topo::LinkDir ld, std::uint64_t bytes) const;
@@ -220,11 +217,6 @@ class LinkStateTable {
   const topo::Topology* topo_;
   obs::ObsHooks hooks_;
   std::vector<int> dir_tracks_;  // lazily assigned trace track ids
-  // Lazily resolved per-direction registry references (RecordLeg runs
-  // once per transmitted leg; by-name lookups there dominate the cost
-  // of the record itself). Timeline pointers stay valid: the registry
-  // stores families in node-stable maps.
-  std::vector<obs::Timeline*> dir_timelines_;
   obs::HistogramHandle link_queue_hist_;
   // Per-direction state in SoA layout, indexed by Index(ld). The
   // adaptive policy scans queue delays across every candidate link of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "common/logging.h"
@@ -60,21 +61,39 @@ TransferEngine::TransferEngine(sim::Simulator* sim,
   }
 }
 
+TransferEngine::~TransferEngine() {
+  // Registries add across engines, and every reader (MgJoin::Execute,
+  // QueryScheduler::Run, the benches) reads after its engine is gone,
+  // so one fold here ends at the values a per-increment mirror would.
+  // Only a fatal-log flush while an engine is alive sees zero net.*
+  // counters for the run that aborted.
+  obs::MetricsRegistry* m = obs_.metrics;
+  if (m == nullptr) return;
+  static constexpr std::pair<const char*, std::uint64_t TransferStats::*>
+      kFolded[] = {
+          {"net.batches", &TransferStats::batches},
+          {"net.packet_hops", &TransferStats::packet_hops},
+          {"net.wire_bytes", &TransferStats::wire_bytes},
+          {"net.packets", &TransferStats::packets},
+          {"net.payload_bytes", &TransferStats::payload_bytes},
+          {"net.ring_syncs", &TransferStats::ring_syncs},
+          {"net.escapes", &TransferStats::escapes},
+          {"net.fault_aborts", &TransferStats::fault_aborts},
+          {"net.fault_reroutes", &TransferStats::fault_reroutes},
+          {"net.fault_waits", &TransferStats::fault_waits},
+      };
+  for (const auto& [name, field] : kFolded) {
+    m->counter(name).Add(stats_.*field);
+  }
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    m->counter("net.flow." + flows_[i].tag.MetricComponent() +
+               ".payload_bytes")
+        .Add(flow_delivered_[i]);
+  }
+}
+
 void TransferEngine::ResolveMetricHandles() {
   obs::MetricsRegistry* m = obs_.metrics;
-  m_batches_ = obs::MetricsRegistry::ResolveCounter(m, "net.batches");
-  m_packet_hops_ = obs::MetricsRegistry::ResolveCounter(m, "net.packet_hops");
-  m_wire_bytes_ = obs::MetricsRegistry::ResolveCounter(m, "net.wire_bytes");
-  m_packets_ = obs::MetricsRegistry::ResolveCounter(m, "net.packets");
-  m_payload_bytes_ =
-      obs::MetricsRegistry::ResolveCounter(m, "net.payload_bytes");
-  m_ring_syncs_ = obs::MetricsRegistry::ResolveCounter(m, "net.ring_syncs");
-  m_escapes_ = obs::MetricsRegistry::ResolveCounter(m, "net.escapes");
-  m_fault_aborts_ =
-      obs::MetricsRegistry::ResolveCounter(m, "net.fault_aborts");
-  m_fault_reroutes_ =
-      obs::MetricsRegistry::ResolveCounter(m, "net.fault_reroutes");
-  m_fault_waits_ = obs::MetricsRegistry::ResolveCounter(m, "net.fault_waits");
   m_src_queue_depth_ =
       obs::MetricsRegistry::ResolveGauge(m, "net.src_queue_depth");
   m_ring_occupancy_ =
@@ -87,11 +106,13 @@ void TransferEngine::ResolveMetricHandles() {
 
 void TransferEngine::RegisterTelemetryProbes() {
   obs::TelemetrySampler* t = obs_.telemetry;
-  t->AddProbe("net.inflight_bytes", [this] { return inflight_payload_; });
-  t->AddProbe("net.pending_bytes", [this] { return pending_payload_; });
+  t->AddProbe("net.inflight_bytes",
+              [this](sim::SimTime) { return inflight_payload_; });
+  t->AddProbe("net.pending_bytes",
+              [this](sim::SimTime) { return pending_payload_; });
   for (int g : gpus_) {
     t->AddProbe("net.gpu" + std::to_string(g) + ".queued_packets",
-                [this, g] {
+                [this, g](sim::SimTime) {
                   const GpuState& gs = gpu_states_[dense_[g]];
                   std::uint64_t n = 0;
                   for (const RingDeque<QueuedPacket>& q : gs.queues) {
@@ -203,9 +224,6 @@ void TransferEngine::AddFlow(const Flow& flow) {
   if (f.tag.src < 0) f.tag.src = f.src_gpu;
   if (f.tag.dst < 0) f.tag.dst = f.dst_gpu;
   flow_delivered_.push_back(0);
-  flow_payload_counters_.push_back(obs::MetricsRegistry::ResolveCounter(
-      obs_.metrics,
-      "net.flow." + f.tag.MetricComponent() + ".payload_bytes"));
   pending_payload_ += f.bytes;
   // Tenant bookkeeping: the query becomes an arbitration participant
   // with its first flow and stays one until its last byte is delivered.
@@ -248,7 +266,7 @@ void TransferEngine::ActivateFlow(std::uint32_t idx) {
   if (obs_.telemetry != nullptr) {
     obs_.telemetry->AddFlowProbe(
         f.tag, "delivered_bytes",
-        [this, idx] { return flow_delivered_[idx]; });
+        [this, idx](sim::SimTime) { return flow_delivered_[idx]; });
   }
   if (obs_.trace != nullptr) {
     // One registration instant per flow maps flow_id -> FlowTag in
@@ -488,7 +506,6 @@ void TransferEngine::SendBatch(int gpu, std::vector<QueuedPacket> batch,
   GpuState& gs = gpu_state(gpu);
   ++gs.busy_engines;
   ++stats_.batches;
-  m_batches_.Add(1);
   m_batch_packets_.Observe(batch.size());
   // Pin the batch to a DMA engine slot so its busy span lands on a
   // stable per-engine trace track.
@@ -521,7 +538,6 @@ void TransferEngine::SendBatch(int gpu, std::vector<QueuedPacket> batch,
       MGJ_CHECK(rl.claimed >= batch.size());
       rl.claimed -= batch.size();
       ++stats_.fault_aborts;
-      m_fault_aborts_.Add(1);
       GpuState& gs = gpu_state(gpu);
       for (auto rit = batch.rbegin(); rit != batch.rend(); ++rit) {
         QueuedPacket& qp = *rit;
@@ -553,8 +569,6 @@ void TransferEngine::SendBatch(int gpu, std::vector<QueuedPacket> batch,
       engine_free = res.end;
       ++stats_.packet_hops;
       stats_.wire_bytes += qp.packet.payload_bytes;
-      m_packet_hops_.Add(1);
-      m_wire_bytes_.Add(qp.packet.payload_bytes);
       // Transit packets release their upstream ring slot once the data
       // has left this GPU.
       if (qp.slot_upstream >= 0) {
@@ -597,9 +611,6 @@ void TransferEngine::HandleArrival(Packet packet, int from_gpu) {
     ++packet.hop;  // count the completed hop
     stats_.payload_bytes += packet.payload_bytes;
     flow_delivered_[packet.flow_idx] += packet.payload_bytes;
-    m_packets_.Add(1);
-    m_payload_bytes_.Add(packet.payload_bytes);
-    flow_payload_counters_[packet.flow_idx].Add(packet.payload_bytes);
     MGJ_CHECK(pending_payload_ >= packet.payload_bytes);
     pending_payload_ -= packet.payload_bytes;
     const std::uint64_t qid = flows_[packet.flow_idx].tag.query_id;
@@ -643,7 +654,6 @@ void TransferEngine::HandleArrival(Packet packet, int from_gpu) {
       packet.route = alt;
       packet.hop = 0;
       ++stats_.fault_reroutes;
-      m_fault_reroutes_.Add(1);
     }
   }
   RingDeque<QueuedPacket>& queue = queue_at(gs, true, packet.next_gpu());
@@ -664,7 +674,6 @@ void TransferEngine::StartRingSync(int receiver, int upstream) {
   if (rl.sync_pending) return;
   rl.sync_pending = true;
   ++stats_.ring_syncs;
-  m_ring_syncs_.Add(1);
   if (obs_.trace != nullptr) {
     if (ring_track_ < 0) ring_track_ = obs_.trace->Track("net.rings");
     obs_.trace->Instant(ring_track_, "ring", "sync", sim_->Now(),
@@ -802,7 +811,6 @@ std::uint64_t TransferEngine::RepairTransitQueue(int gpu, int peer) {
   q = std::move(keep);
   if (moved > 0) {
     stats_.fault_reroutes += moved;
-    m_fault_reroutes_.Add(moved);
     if (obs_.trace != nullptr) {
       if (fault_track_ < 0) fault_track_ = obs_.trace->Track("net.faults");
       obs_.trace->Instant(fault_track_, "fault", "reroute", sim_->Now(),
@@ -848,7 +856,6 @@ void TransferEngine::ScheduleFaultRetry(int gpu) {
   // Counted as watchdog progress: waiting out an outage with a restore
   // scheduled is healthy, not deadlocked.
   ++stats_.fault_waits;
-  m_fault_waits_.Add(1);
   sim_->Schedule(options_.fault_retry_interval, [this, gpu] {
     fault_retry_pending_[dense_[gpu]] = 0;
     TryStartSends(gpu);
@@ -908,7 +915,6 @@ void TransferEngine::EscapeBlockedPackets(int sender, int receiver) {
   }
   q = std::move(keep);
   if (moved > 0) {
-    m_escapes_.Add(moved);
     if (obs_.trace != nullptr) {
       if (ring_track_ < 0) ring_track_ = obs_.trace->Track("net.rings");
       obs_.trace->Instant(

@@ -130,6 +130,12 @@ class TransferEngine {
                  std::vector<int> gpus, RoutingPolicy* policy,
                  TransferOptions options);
 
+  /// Folds the run's TransferStats into the metrics registry (if any):
+  /// the packet, byte, batch, ring and fault counts add to
+  /// "net.<field>", every flow's delivered payload to
+  /// "net.flow.q<id>.<phase>.payload_bytes".
+  ~TransferEngine();
+
   TransferEngine(const TransferEngine&) = delete;
   TransferEngine& operator=(const TransferEngine&) = delete;
 
@@ -300,17 +306,8 @@ class TransferEngine {
 
   // Pre-resolved metric handles: one registry lookup at construction,
   // none per packet/batch touch. Default-constructed (no-op) when
-  // metrics are disabled.
-  obs::CounterHandle m_batches_;
-  obs::CounterHandle m_packet_hops_;
-  obs::CounterHandle m_wire_bytes_;
-  obs::CounterHandle m_packets_;
-  obs::CounterHandle m_payload_bytes_;
-  obs::CounterHandle m_ring_syncs_;
-  obs::CounterHandle m_escapes_;
-  obs::CounterHandle m_fault_aborts_;
-  obs::CounterHandle m_fault_reroutes_;
-  obs::CounterHandle m_fault_waits_;
+  // metrics are disabled. Counters have no handles: stats_ is their one
+  // source, folded into the registry by the destructor.
   obs::GaugeHandle m_src_queue_depth_;
   obs::GaugeHandle m_ring_occupancy_;
   obs::GaugeHandle m_transit_queue_depth_;
@@ -322,9 +319,6 @@ class TransferEngine {
   // detection at registration time — no hot path touches it.
   std::vector<Flow> flows_;
   std::vector<std::uint64_t> flow_delivered_;  // parallel to flows_
-  // Per-flow delivered-payload counters ("net.flow.q<id>.<phase>.
-  // payload_bytes"), resolved at registration; parallel to flows_.
-  std::vector<obs::CounterHandle> flow_payload_counters_;
   std::map<std::uint64_t, std::uint32_t> flow_index_;
   // Undelivered payload per query id: drives link-table tenant
   // registration (register on a query's first flow, deregister when its

@@ -1,7 +1,9 @@
 #include "obs/export.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -74,9 +76,11 @@ void EmitRegistry(const MetricsRegistry& m,
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h.buckets().size(); ++i) {
       cumulative += h.buckets()[i];
-      // Bucket i counts integer values < 2^i, so the inclusive upper
-      // bound is 2^i - 1 (bucket 0 holds zeros and ones: le="1").
-      const std::uint64_t le = i == 0 ? 1 : (1ull << i) - 1;
+      if (i >= 64) break;  // values above 2^63: only +Inf bounds them
+      // Bucket i >= 1 counts values in (2^(i-1), 2^i], so its
+      // inclusive upper bound is 2^i (bucket 0 holds zeros and ones:
+      // le="1").
+      const std::uint64_t le = 1ull << i;
       f.lines.push_back(om + "_bucket{le=\"" + std::to_string(le) +
                         "\"} " + std::to_string(cumulative));
     }
@@ -85,8 +89,6 @@ void EmitRegistry(const MetricsRegistry& m,
     f.lines.push_back(om + "_sum " + std::to_string(h.sum()));
     f.lines.push_back(om + "_count " + std::to_string(h.count()));
   }
-  // Timelines are rendered by obs/report; they have no natural
-  // OpenMetrics shape, so the exposition skips them.
 }
 
 void EmitSampler(const TelemetrySampler& t, const std::string& run_label,
@@ -178,6 +180,52 @@ std::string BaseName(const std::string& sample) {
     }
   }
   return sample;
+}
+
+/// Histogram shape, per series: `le` (the last label of a bucket)
+/// strictly increases, cumulative counts never decrease, and the last
+/// bucket is `+Inf` and equals `_count`.
+Status LintHistogram(const OmFamily& fam) {
+  struct Last {
+    double le = -HUGE_VAL;
+    double count = 0;
+  };
+  // Keyed by the labels before `le`; a series leaves at its _count.
+  std::map<std::string, Last> series;
+  for (const OmSample& s : fam.samples) {
+    const std::string what = fam.name + "{" + s.labels + "}";
+    if (s.name == fam.name + "_count") {
+      const Last& b = series[s.labels];
+      if (b.le != HUGE_VAL || b.count != s.value) {
+        return Status::InvalidArgument("last bucket of " + what +
+                                       " is not +Inf equal to _count");
+      }
+      series.erase(s.labels);
+    } else if (s.name == fam.name + "_bucket") {
+      const std::size_t at = s.labels.rfind("le=\"");
+      const std::string le =
+          at == std::string::npos ? "" : s.labels.substr(at + 4);
+      char* end = nullptr;
+      const double bound = std::strtod(le.c_str(), &end);  // "+Inf" too
+      if (end == le.c_str() || std::strcmp(end, "\"") != 0 ||
+          (at > 0 && s.labels[at - 1] != ',')) {
+        return Status::InvalidArgument("bucket without a final le label: " +
+                                       what);
+      }
+      Last& b = series[s.labels.substr(0, at > 0 ? at - 1 : 0)];
+      if (bound <= b.le || s.value < b.count) {
+        return Status::InvalidArgument(
+            "buckets not increasing in le and count at " + what);
+      }
+      b = {bound, s.value};
+    }
+  }
+  if (!series.empty()) {
+    return Status::InvalidArgument("histogram " + fam.name + "{" +
+                                   series.begin()->first +
+                                   "} has no _count");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -312,6 +360,7 @@ Status LintOpenMetrics(const std::string& text) {
         last_ts[key] = s.timestamp;
       }
     }
+    if (fam.type == "histogram") MGJ_RETURN_NOT_OK(LintHistogram(fam));
   }
   return Status::OK();
 }

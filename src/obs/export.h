@@ -58,7 +58,9 @@ Result<std::vector<OmFamily>> ParseOpenMetrics(const std::string& text);
 /// Structural lint over an exposition: parses it, then checks `# EOF`
 /// presence, name charset, duplicate TYPE declarations, suffix/type
 /// agreement (counters end _total; histogram samples are
-/// _bucket/_sum/_count), and per-series nondecreasing timestamps.
+/// _bucket/_sum/_count), per-series nondecreasing timestamps, and
+/// histogram shape (strictly increasing `le` bounds, nondecreasing
+/// cumulative counts, a final `+Inf` bucket equal to `_count`).
 Status LintOpenMetrics(const std::string& text);
 
 /// Sampled telemetry as CSV:

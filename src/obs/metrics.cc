@@ -44,51 +44,7 @@ std::uint64_t Histogram::ValueAtQuantile(double q) const {
   return max_;
 }
 
-void Timeline::AddBusy(sim::SimTime start, sim::SimTime end) {
-  if (end <= start) return;
-  busy_ += end - start;
-  last_end_ = std::max(last_end_, end);
-  const std::size_t first_bin = static_cast<std::size_t>(start / bin_width_);
-  const std::size_t last_bin =
-      static_cast<std::size_t>((end - 1) / bin_width_);
-  if (last_bin >= bins_.size()) bins_.resize(last_bin + 1, 0);
-  for (std::size_t b = first_bin; b <= last_bin; ++b) {
-    const sim::SimTime bin_start = static_cast<sim::SimTime>(b) * bin_width_;
-    const sim::SimTime bin_end = bin_start + bin_width_;
-    bins_[b] += std::min(end, bin_end) - std::max(start, bin_start);
-  }
-}
-
-std::vector<double> Timeline::Profile() const {
-  std::vector<double> out(bins_.size());
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    out[i] = static_cast<double>(bins_[i]) / static_cast<double>(bin_width_);
-  }
-  return out;
-}
-
-std::string Timeline::Sparkline(std::size_t max_cols) const {
-  static const char kLevels[] = "0123456789X";
-  const std::vector<double> profile = Profile();
-  if (profile.empty() || max_cols == 0) return "";
-  const std::size_t group = (profile.size() + max_cols - 1) / max_cols;
-  std::string out;
-  for (std::size_t i = 0; i < profile.size(); i += group) {
-    double acc = 0;
-    std::size_t n = 0;
-    for (std::size_t j = i; j < std::min(i + group, profile.size()); ++j) {
-      acc += profile[j];
-      ++n;
-    }
-    const int level =
-        std::clamp(static_cast<int>(acc / static_cast<double>(n) * 10.0),
-                   0, 10);
-    out.push_back(kLevels[level]);
-  }
-  return out;
-}
-
-std::string MetricsRegistry::Summary(sim::SimTime window) const {
+std::string MetricsRegistry::Summary() const {
   std::string out;
   char line[256];
   if (!counters_.empty()) {
@@ -122,16 +78,6 @@ std::string MetricsRegistry::Summary(sim::SimTime window) const {
                     static_cast<unsigned long long>(h.P50()),
                     static_cast<unsigned long long>(h.P95()),
                     static_cast<unsigned long long>(h.P99()));
-      out += line;
-    }
-  }
-  if (!timelines_.empty()) {
-    out += "timelines (busy_ms / util% of window / profile):\n";
-    for (const auto& [name, t] : timelines_) {
-      std::snprintf(line, sizeof(line), "  %-36s %.3f / %.1f / %s\n",
-                    name.c_str(), sim::ToMillis(t.busy()),
-                    100.0 * t.Utilization(window),
-                    t.Sparkline().c_str());
       out += line;
     }
   }

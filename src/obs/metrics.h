@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.h"
-
 namespace mgjoin::obs {
 
 /// Monotonic event/byte counter.
@@ -36,8 +34,8 @@ class Gauge {
   std::uint64_t high_water_ = 0;
 };
 
-/// Power-of-two bucketed histogram (bucket i counts values in
-/// [2^(i-1), 2^i), bucket 0 counts zeros and ones).
+/// Power-of-two bucketed histogram (bucket i >= 1 counts values in
+/// (2^(i-1), 2^i]; bucket 0 counts zeros and ones).
 class Histogram {
  public:
   void Observe(std::uint64_t v);
@@ -69,70 +67,14 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// \brief Busy-time timeline of one resource (a link direction, a DMA
-/// engine): total busy time plus a fixed-width binned profile, so the
-/// end-of-run summary can show *when* a link was hot, not only how hot
-/// on average.
-class Timeline {
- public:
-  /// `bin_width` controls the profile resolution (default 1 ms of sim
-  /// time per bin).
-  explicit Timeline(sim::SimTime bin_width = sim::kMillisecond)
-      : bin_width_(bin_width) {}
-
-  /// Accumulates a busy interval [start, end). Intervals may be added
-  /// out of order and may overlap bins arbitrarily.
-  void AddBusy(sim::SimTime start, sim::SimTime end);
-
-  sim::SimTime busy() const { return busy_; }
-  sim::SimTime last_end() const { return last_end_; }
-
-  /// busy-time / window, clamped to [0, 1] only by the caller's choice
-  /// of window (overlapping reservations can exceed 1).
-  double Utilization(sim::SimTime window) const {
-    return window == 0 ? 0.0
-                       : static_cast<double>(busy_) /
-                             static_cast<double>(window);
-  }
-
-  /// Per-bin utilization in [0,1]; bin i covers
-  /// [i*bin_width, (i+1)*bin_width).
-  std::vector<double> Profile() const;
-
-  /// Compact ASCII profile ("0123456789X" utilization deciles per
-  /// column), downsampled to at most `max_cols` columns.
-  std::string Sparkline(std::size_t max_cols = 60) const;
-
- private:
-  sim::SimTime bin_width_;
-  sim::SimTime busy_ = 0;
-  sim::SimTime last_end_ = 0;
-  std::vector<sim::SimTime> bins_;
-};
-
-/// \brief Pre-resolved reference to a registry Counter.
+/// \brief Pre-resolved, null-safe reference to a registry Gauge.
 ///
-/// Hot paths touch metrics once per packet/batch; resolving the name
+/// Hot paths touch gauges once per packet/batch; resolving the name
 /// through the registry's std::map on every touch costs more than the
-/// add itself. A handle is resolved once at setup and is null-safe: a
-/// default-constructed handle (metrics disabled) makes every touch a
-/// no-op, so call sites need no branching of their own. Handles stay
-/// valid for the registry's lifetime — std::map nodes never move.
-class CounterHandle {
- public:
-  CounterHandle() = default;
-  explicit CounterHandle(Counter* c) : c_(c) {}
-  void Add(std::uint64_t n = 1) {
-    if (c_ != nullptr) c_->Add(n);
-  }
-  explicit operator bool() const { return c_ != nullptr; }
-
- private:
-  Counter* c_ = nullptr;
-};
-
-/// Pre-resolved, null-safe reference to a registry Gauge (see
-/// CounterHandle).
+/// set itself. A handle is resolved once at setup: a default-constructed
+/// handle (metrics disabled) makes every touch a no-op, so call sites
+/// need no branching of their own. Handles stay valid for the
+/// registry's lifetime — std::map nodes never move.
 class GaugeHandle {
  public:
   GaugeHandle() = default;
@@ -147,7 +89,7 @@ class GaugeHandle {
 };
 
 /// Pre-resolved, null-safe reference to a registry Histogram (see
-/// CounterHandle).
+/// GaugeHandle).
 class HistogramHandle {
  public:
   HistogramHandle() = default;
@@ -162,7 +104,7 @@ class HistogramHandle {
 };
 
 /// \brief Registry of named metrics. Names are hierarchical by
-/// convention ("net.packets", "link.NVLink1:0-1.fwd"); the summary is
+/// convention ("net.packets", "link.<name>.state"); the summary is
 /// sorted by name so output is deterministic.
 ///
 /// Lookups create the metric on first use. The registry is not
@@ -173,7 +115,6 @@ class MetricsRegistry {
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
-  Timeline& timeline(const std::string& name) { return timelines_[name]; }
 
   const std::map<std::string, Counter>& counters() const {
     return counters_;
@@ -182,50 +123,27 @@ class MetricsRegistry {
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
-  const std::map<std::string, Timeline>& timelines() const {
-    return timelines_;
-  }
 
-  /// True if `name` exists (lookup without creating).
-  bool HasCounter(const std::string& name) const {
-    return counters_.count(name) > 0;
-  }
-
-  /// Handle accessors: one map lookup now, none per touch.
-  CounterHandle counter_handle(const std::string& name) {
-    return CounterHandle(&counters_[name]);
-  }
-  GaugeHandle gauge_handle(const std::string& name) {
-    return GaugeHandle(&gauges_[name]);
-  }
-  HistogramHandle histogram_handle(const std::string& name) {
-    return HistogramHandle(&histograms_[name]);
-  }
-
-  /// Null-tolerant resolvers: an absent registry yields an empty (no-op)
-  /// handle, so components resolve unconditionally at setup.
-  static CounterHandle ResolveCounter(MetricsRegistry* m,
-                                      const std::string& name) {
-    return m == nullptr ? CounterHandle() : m->counter_handle(name);
-  }
+  /// Handle resolvers: one map lookup now, none per touch. An absent
+  /// registry yields an empty (no-op) handle, so components resolve
+  /// unconditionally at setup.
   static GaugeHandle ResolveGauge(MetricsRegistry* m,
                                   const std::string& name) {
-    return m == nullptr ? GaugeHandle() : m->gauge_handle(name);
+    return m == nullptr ? GaugeHandle() : GaugeHandle(&m->gauge(name));
   }
   static HistogramHandle ResolveHistogram(MetricsRegistry* m,
                                           const std::string& name) {
-    return m == nullptr ? HistogramHandle() : m->histogram_handle(name);
+    return m == nullptr ? HistogramHandle()
+                        : HistogramHandle(&m->histogram(name));
   }
 
-  /// Renders every metric; timeline utilizations are relative to
-  /// `window` (pass the run's makespan).
-  std::string Summary(sim::SimTime window) const;
+  /// Renders every metric.
+  std::string Summary() const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, Timeline> timelines_;
 };
 
 }  // namespace mgjoin::obs

@@ -85,10 +85,6 @@ struct LinkReport {
                        : static_cast<double>(busy) /
                              static_cast<double>(window);
   }
-  double AchievedBps(sim::SimTime window) const {
-    const double secs = sim::ToSeconds(window);
-    return secs <= 0 ? 0.0 : static_cast<double>(bytes) / secs;
-  }
   /// Peak bandwidth scaled by the fraction of the window the link was
   /// actually available — a link that was down half the run is judged
   /// against half its nominal peak (fault-injection satellite).
@@ -112,8 +108,8 @@ struct CongestionReport {
 
   /// Compact per-link utilization-over-time rendering: one row per
   /// link (busiest first, at most `max_rows`), one column per time
-  /// bin, "0123456789X" utilization deciles — same alphabet as
-  /// obs::Timeline::Sparkline.
+  /// bin, "0123456789X" utilization deciles, built from the trace's
+  /// per-link "xfer" spans.
   std::string AsciiHeatmap(std::size_t max_rows = 12) const;
 };
 

@@ -100,10 +100,10 @@ void TelemetrySampler::Attach(sim::Simulator* sim) {
   MGJ_CHECK(sim != nullptr);
   MGJ_CHECK(sim_ == nullptr) << "sampler attached twice";
   sim_ = sim;
-  AddProbe("sim.event_queue_depth", [sim] {
+  AddProbe("sim.event_queue_depth", [sim](sim::SimTime) {
     return static_cast<std::uint64_t>(sim->queue_size());
   });
-  AddProbe("sim.arena_blocks", [sim] {
+  AddProbe("sim.arena_blocks", [sim](sim::SimTime) {
     return static_cast<std::uint64_t>(sim->arena_blocks_allocated());
   });
   sim->SetObserver(interval_,
@@ -115,7 +115,7 @@ void TelemetrySampler::SampleNow(sim::SimTime t) {
   sampled_ = true;
   last_sample_ = t;
   ++ticks_;
-  for (Series& s : series_) s.data.Record(t, s.probe());
+  for (Series& s : series_) s.data.Record(t, s.probe(t));
 }
 
 }  // namespace mgjoin::obs

@@ -46,7 +46,6 @@ class TimeSeries {
     samples_.push_back({t, value});
   }
   const std::vector<Sample>& samples() const { return samples_; }
-  bool empty() const { return samples_.empty(); }
   /// Value of the most recent sample (0 when empty).
   std::uint64_t last() const {
     return samples_.empty() ? 0 : samples_.back().value;
@@ -61,9 +60,13 @@ class TimeSeries {
 /// Producers register *probes* — cheap read-only callbacks returning a
 /// current value — and the sampler snapshots every probe into a
 /// TimeSeries each time the attached simulator's clock crosses a
-/// sample-interval boundary. Sampling rides Simulator::SetObserver, so
-/// it runs outside the event-seq stream: enabling telemetry leaves the
-/// core join trace byte-identical (verified by determinism tests).
+/// sample-interval boundary. A probe receives the tick time, which may
+/// lie past the simulator's Now() (ticks run between events); probes of
+/// state that is booked ahead of time, like link occupancy, use it to
+/// report the value at the tick rather than at the last event.
+/// Sampling rides Simulator::SetObserver, so it runs outside the
+/// event-seq stream: enabling telemetry leaves the core join trace
+/// byte-identical (verified by determinism tests).
 ///
 /// Lifetime: one sampler serves one simulation run (Attach checks
 /// this); every probe's captured state must outlive the sampler's last
@@ -71,7 +74,7 @@ class TimeSeries {
 /// registration must itself be deterministic.
 class TelemetrySampler {
  public:
-  using Probe = std::function<std::uint64_t()>;
+  using Probe = std::function<std::uint64_t(sim::SimTime)>;
 
   static constexpr sim::SimTime kDefaultInterval = sim::kMillisecond;
 

@@ -85,7 +85,7 @@ class Simulator {
   /// contract). Grid points are elided inside long event-free gaps:
   /// simulator state is frozen between events, so only the first and
   /// last grid point of a gap are fired — the skipped points would
-  /// repeat the same values (and a zero-rate-link event parked at
+  /// repeat the same state (and a zero-rate-link event parked at
   /// kSimTimeMax would otherwise mean ~2^40 redundant callbacks).
   /// A grid point coinciding with an event time fires before that
   /// event's batch: the observed state is "just before t".
@@ -94,11 +94,6 @@ class Simulator {
     observer_interval_ = interval;
     observer_ = std::move(fn);
     next_observation_ = (now_ / interval + 1) * interval;
-  }
-
-  void ClearObserver() {
-    observer_ = nullptr;
-    observer_interval_ = 0;
   }
 
   bool Empty() const {

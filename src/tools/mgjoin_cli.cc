@@ -4,7 +4,6 @@
 //   mgjoin join  [--gpus N] [--tuples N] [--policy P] [--zipf Z]
 //                [--key-zipf Z] [--packet-kb N] [--scale S]
 //                [--threads N] [--no-compression]
-//                [--links]
 //                [--trace=out.json] [--metrics]
 //                [--telemetry=out.om] [--telemetry-csv=out.csv]
 //                [--sample-every=250us]
@@ -28,7 +27,8 @@
 // chrome://tracing) of the join's fabric activity: per-GPU DMA-engine
 // busy spans, per-link occupancy, ring-buffer syncs/escapes and
 // join-phase spans. `--metrics` prints the metrics registry (counters,
-// queue-depth high-water marks, per-link busy timelines).
+// queue-depth high-water marks, latency histograms); per-link busy time
+// over the run comes from the trace, via `mgjoin report --timeline`.
 //
 // `--faults=SPEC` injects link faults during the distribution (see
 // net/fault_plan.h for the grammar): links go down, run degraded or
@@ -243,8 +243,7 @@ int CmdJoin(const Args& args) {
                 trace_path.c_str(), trace.num_events());
   }
   if (args.Has("metrics")) {
-    std::printf("---- metrics (window = makespan) ----\n%s",
-                metrics.Summary(out.net.Makespan()).c_str());
+    std::printf("---- metrics ----\n%s", metrics.Summary().c_str());
   }
   if (!telemetry_path.empty()) {
     const Status st = obs::WriteTextFile(

@@ -402,20 +402,6 @@ TEST(TransferEngineTest, WireBytesAtLeastPayload) {
   EXPECT_GE(run.stats.wire_bytes, run.stats.payload_bytes);
 }
 
-TEST(TransferEngineTest, UtilizationReportListsBusyLinks) {
-  sim::Simulator s;
-  auto topo = MakeDgx1V();
-  auto policy = MakePolicy(PolicyKind::kAdaptive);
-  TransferEngine eng(&s, topo.get(), {0, 1}, policy.get(), {});
-  eng.AddFlow(Flow{0, 0, 1, 64 * kMiB, 0, 0.0, 0, {}});
-  eng.Start();
-  s.Run();
-  const std::string report = eng.links().UtilizationReport(
-      eng.stats().Makespan());
-  EXPECT_NE(report.find("NVLink"), std::string::npos);
-  EXPECT_NE(report.find("util"), std::string::npos);
-}
-
 TEST(TransferEngineTest, Dgx2SixteenGpuAllToAllCompletes) {
   // On the NVSwitch-style 16-GPU machine every pair has a dedicated
   // NVLink, so adaptive routing should stay essentially direct.

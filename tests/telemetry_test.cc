@@ -1,17 +1,25 @@
 // Tests for the fabric telemetry subsystem (DESIGN.md Sec 14): the
 // simulated-clock sampler and its observer contract, interval parsing,
-// and the OpenMetrics/CSV exporters with their lint/parse round trip.
+// the OpenMetrics/CSV exporters with their lint/parse round trip, and
+// the live per-link busy series.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/units.h"
+#include "net/routing_policy.h"
+#include "net/transfer_engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
+#include "topo/presets.h"
 
 namespace mgjoin::obs {
 namespace {
@@ -64,7 +72,8 @@ TEST(TelemetrySamplerTest, SamplesOnGridWithGapElision) {
   TelemetrySampler sampler(10 * sim::kMicrosecond);
   sampler.Attach(&s);
   std::uint64_t counter = 0;
-  sampler.AddProbe("test.counter", [&counter] { return counter; });
+  sampler.AddProbe("test.counter",
+                   [&counter](sim::SimTime) { return counter; });
 
   s.ScheduleAt(5 * sim::kMicrosecond, [&counter] { counter = 1; });
   s.ScheduleAt(35 * sim::kMicrosecond, [&counter] { counter = 2; });
@@ -104,7 +113,7 @@ TEST(TelemetrySamplerTest, BoundedRunSamplesTheTail) {
 TEST(TelemetrySamplerTest, SampleNowDedupsByTimestamp) {
   TelemetrySampler sampler(sim::kMillisecond);
   std::uint64_t v = 1;
-  sampler.AddProbe("v", [&v] { return v; });
+  sampler.AddProbe("v", [&v](sim::SimTime) { return v; });
   sampler.SampleNow(100);
   sampler.SampleNow(100);  // duplicate tick: ignored
   sampler.SampleNow(50);   // time went backwards: ignored
@@ -152,10 +161,11 @@ TEST(OpenMetricsTest, ExportsRegistryAndSampledSeries) {
 
   TelemetrySampler sampler(sim::kMillisecond);
   std::uint64_t inflight = 5;
-  sampler.AddProbe("net.inflight_bytes", [&inflight] { return inflight; });
+  sampler.AddProbe("net.inflight_bytes",
+                   [&inflight](sim::SimTime) { return inflight; });
   std::uint64_t delivered = 0;
   sampler.AddFlowProbe(FlowTag{7, "shuffle", 0, 3}, "delivered_bytes",
-                       [&delivered] { return delivered; });
+                       [&delivered](sim::SimTime) { return delivered; });
   sampler.SampleNow(sim::kMillisecond);
   delivered = 999;
   sampler.SampleNow(2 * sim::kMillisecond);
@@ -205,8 +215,8 @@ TEST(OpenMetricsTest, ExportsRegistryAndSampledSeries) {
 
 TEST(OpenMetricsTest, MultiRunExportLabelsEachSampler) {
   TelemetrySampler a(sim::kMillisecond), b(sim::kMillisecond);
-  a.AddProbe("net.inflight_bytes", [] { return 1ull; });
-  b.AddProbe("net.inflight_bytes", [] { return 2ull; });
+  a.AddProbe("net.inflight_bytes", [](sim::SimTime) { return 1ull; });
+  b.AddProbe("net.inflight_bytes", [](sim::SimTime) { return 2ull; });
   a.SampleNow(sim::kMillisecond);
   b.SampleNow(sim::kMillisecond);
   const std::string om =
@@ -252,11 +262,139 @@ TEST(OpenMetricsTest, LintCatchesStructuralDamage) {
                   .ok());
 }
 
+TEST(OpenMetricsTest, HistogramBucketsUseInclusivePowerOfTwoBounds) {
+  // Bucket b >= 1 holds (2^(b-1), 2^b], so 2 and 4 land under le="2" and
+  // le="4" — not under smaller bounds.
+  MetricsRegistry metrics;
+  metrics.histogram("h").Observe(2);
+  metrics.histogram("h").Observe(4);
+  const std::string om = OpenMetricsText(&metrics, nullptr);
+  EXPECT_TRUE(LintOpenMetrics(om).ok()) << om;
+  EXPECT_NE(om.find("mgj_h_bucket{le=\"1\"} 0\n"), std::string::npos) << om;
+  EXPECT_NE(om.find("mgj_h_bucket{le=\"2\"} 1\n"), std::string::npos) << om;
+  EXPECT_NE(om.find("mgj_h_bucket{le=\"4\"} 2\n"), std::string::npos) << om;
+  // Values above 2^63 have no finite uint64 bound: only +Inf holds them.
+  metrics.histogram("big").Observe(~0ull);
+  EXPECT_TRUE(LintOpenMetrics(OpenMetricsText(&metrics, nullptr)).ok());
+
+  // The earlier 2^b - 1 bounds repeated le="1" and undercounted; the
+  // lint now rejects that shape.
+  const std::string old_bounds =
+      "# TYPE mgj_h histogram\n"
+      "mgj_h_bucket{le=\"1\"} 0\n"
+      "mgj_h_bucket{le=\"1\"} 1\n"
+      "mgj_h_bucket{le=\"3\"} 2\n"
+      "mgj_h_bucket{le=\"+Inf\"} 2\n"
+      "mgj_h_sum 6\n"
+      "mgj_h_count 2\n"
+      "# EOF\n";
+  EXPECT_FALSE(LintOpenMetrics(old_bounds).ok());
+}
+
+TEST(OpenMetricsTest, LintChecksHistogramShape) {
+  const auto hist = [](const std::string& buckets, int count) {
+    return "# TYPE mgj_h histogram\n" + buckets + "mgj_h_sum 6\n" +
+           "mgj_h_count " + std::to_string(count) + "\n# EOF\n";
+  };
+  EXPECT_TRUE(LintOpenMetrics(hist("mgj_h_bucket{le=\"2\"} 1\n"
+                                   "mgj_h_bucket{le=\"+Inf\"} 2\n",
+                                   2))
+                  .ok());
+  // Cumulative counts decrease.
+  EXPECT_FALSE(LintOpenMetrics(hist("mgj_h_bucket{le=\"2\"} 2\n"
+                                    "mgj_h_bucket{le=\"4\"} 1\n"
+                                    "mgj_h_bucket{le=\"+Inf\"} 2\n",
+                                    2))
+                   .ok());
+  // No +Inf bucket.
+  EXPECT_FALSE(
+      LintOpenMetrics(hist("mgj_h_bucket{le=\"2\"} 2\n", 2)).ok());
+  // +Inf disagrees with _count.
+  EXPECT_FALSE(LintOpenMetrics(hist("mgj_h_bucket{le=\"+Inf\"} 2\n", 3))
+                   .ok());
+  // A bucket without an le label.
+  EXPECT_FALSE(LintOpenMetrics(hist("mgj_h_bucket 2\n"
+                                    "mgj_h_bucket{le=\"+Inf\"} 2\n",
+                                    2))
+                   .ok());
+}
+
+// ---------------------------------------------------------------------------
+// Live per-link series.
+
+TEST(LinkTelemetryTest, BusySeriesIsTheBusyTimeUpToEachTick) {
+  // An 8-GPU all-to-all books wire time far ahead of the clock; each
+  // busy_ps sample must count only the busy time before its tick.
+  sim::Simulator s;
+  auto topo = topo::MakeDgx1V();
+  auto policy = net::MakePolicy(net::PolicyKind::kAdaptive);
+  TraceRecorder trace;
+  TelemetrySampler sampler(100 * sim::kMicrosecond);
+  net::TransferOptions opts;
+  opts.obs.trace = &trace;
+  opts.obs.telemetry = &sampler;
+  net::TransferEngine eng(&s, topo.get(), topo::FirstNGpus(8), policy.get(),
+                          opts);
+  std::uint64_t id = 0;
+  for (int a = 0; a < 8; ++a) {
+    for (int b = 0; b < 8; ++b) {
+      if (a != b) {
+        eng.AddFlow(net::Flow{id++, a, b, 256 * kMiB, 0, 0.0, 0, {}});
+      }
+    }
+  }
+  eng.Start();
+  s.Run();
+  ASSERT_TRUE(eng.AllDone());
+
+  std::map<std::string, sim::SimTime> booked;  // series name -> BusyTime
+  for (int l = 0; l < topo->num_links(); ++l) {
+    for (int dir = 0; dir < 2; ++dir) {
+      booked["link." + topo->link(l).ToString() +
+             (dir == 0 ? ".fwd" : ".rev") + ".busy_ps"] =
+          eng.links().BusyTime({l, dir});
+    }
+  }
+  std::size_t checked = 0;
+  std::map<std::string, std::uint64_t> sampled;  // track name -> last
+  for (const TelemetrySampler::Series& series : sampler.series()) {
+    const auto it = booked.find(series.name);
+    if (it == booked.end()) continue;
+    TimeSeries::Sample prev;  // busy time is 0 at time 0
+    for (const TimeSeries::Sample& cur : series.data.samples()) {
+      ASSERT_GE(cur.value, prev.value) << series.name;
+      ASSERT_LE(cur.value - prev.value, cur.t - prev.t)
+          << series.name << " at " << cur.t;
+      prev = cur;
+    }
+    EXPECT_EQ(series.data.last(), it->second) << series.name;
+    sampled[series.name.substr(0, series.name.rfind(".busy_ps"))] =
+        series.data.last();
+    ++checked;
+  }
+  EXPECT_EQ(checked, booked.size());
+
+  // The offline view rebuilt from the trace's xfer spans agrees.
+  const report::RunReport rep =
+      report::BuildRunReport(trace.ExportEvents());
+  ASSERT_FALSE(rep.congestion.links.empty());
+  std::uint64_t trace_busy = 0;
+  std::uint64_t series_busy = 0;
+  for (const report::LinkReport& link : rep.congestion.links) {
+    ASSERT_EQ(sampled.count(link.name), 1u) << link.name;
+    EXPECT_EQ(sampled[link.name], link.busy) << link.name;
+    trace_busy += link.busy;
+  }
+  for (const auto& [name, busy] : sampled) series_busy += busy;
+  EXPECT_EQ(series_busy, trace_busy);
+}
+
 TEST(TelemetryCsvTest, EmitsFlowColumnsAndPlainRows) {
   TelemetrySampler sampler(sim::kMillisecond);
-  sampler.AddProbe("net.inflight_bytes", [] { return 11ull; });
+  sampler.AddProbe("net.inflight_bytes",
+                   [](sim::SimTime) { return 11ull; });
   sampler.AddFlowProbe(FlowTag{3, "shuffle", 1, 2}, "delivered_bytes",
-                       [] { return 22ull; });
+                       [](sim::SimTime) { return 22ull; });
   sampler.SampleNow(sim::kMillisecond);
   const std::string csv = TelemetryCsv(sampler);
   EXPECT_NE(csv.find("name,metric,query,phase,src,dst,time_ps,value"),
