@@ -404,9 +404,7 @@ inline DistributionRun RunDistribution(const topo::Topology* topo,
   if (options.obs.trace != nullptr) {
     // Same annotation MgJoin records: lets the congestion report show
     // achieved-vs-peak bisection bandwidth for bare shuffles too.
-    options.obs.trace->Instant(
-        options.obs.trace->Track("net.info"), "net", "bisection", 0,
-        {{"bps", static_cast<std::uint64_t>(run.bisection_bw)}});
+    net::TraceBisection(options.obs.trace, cut);
   }
   BenchReport& report = BenchReport::Instance();
   if (report.enabled()) {

@@ -1,6 +1,8 @@
 #ifndef MGJOIN_JOIN_MG_JOIN_H_
 #define MGJOIN_JOIN_MG_JOIN_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -70,6 +72,44 @@ struct MgJoinOptions {
   }
 };
 
+/// One join after its host phases (MgJoin::Prepare): the functional
+/// result plus every cost-model input the timing layer needs. Simulated
+/// times are offsets from the moment the join is admitted to the fabric
+/// (0 for a standalone Execute); volumes are at virtual scale.
+struct PreparedJoin {
+  /// Shuffle flows tagged {options.query_id, "shuffle"}; TimeFlow sets
+  /// their available_at and generation_rate.
+  std::vector<net::Flow> flows;
+  sim::SimTime hist_end = 0;             ///< histogram barrier
+  std::vector<sim::SimTime> gp_time;     ///< partition kernel, per GPU
+  std::vector<sim::SimTime> lp_time;     ///< local partitioning, per GPU
+  std::vector<sim::SimTime> probe_time;  ///< probe, per GPU
+  std::vector<std::uint64_t> recv_tuples;  ///< tuples received, per GPU
+  sim::SimTime residual = 0;  ///< last packet's local-partition pass
+  std::uint64_t matches = 0;
+  std::uint64_t checksum = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::uint64_t shuffled_bytes = 0;
+  std::uint64_t uncompressed_bytes = 0;
+};
+
+/// When a join's packets landed (absolute simulated time), fed by
+/// MgJoin::NoteArrival from the engine's deliver callback.
+struct JoinArrivals {
+  explicit JoinArrivals(std::size_t gpus = 0) : last_arrival(gpus, 0) {}
+  std::vector<sim::SimTime> last_arrival;  ///< per dense GPU; 0 = none
+  sim::SimTime last_delivery = 0;
+};
+
+/// The per-GPU dependency chain of one admitted join (absolute times).
+struct JoinCompletion {
+  std::vector<sim::SimTime> probe_start;  ///< per dense GPU
+  sim::SimTime dist_end = 0;
+  sim::SimTime join_end = 0;
+  /// The same chain over a zero-cost network.
+  sim::SimTime nodist_end = 0;
+};
+
 /// \brief The MG-Join executor: histogram generation, global
 /// partitioning (assignment + distribution), local partitioning, probe.
 ///
@@ -94,12 +134,39 @@ class MgJoin {
   Result<JoinResult> Execute(const data::DistRelation& r,
                              const data::DistRelation& s) const;
 
+  /// \name The pieces of Execute, for callers that put several joins on
+  /// one fabric (svc::QueryScheduler).
+  ///@{
+  /// Host phases: histogram, assignment, partition-kernel times, the
+  /// functional shuffle and the functional local join.
+  Result<PreparedJoin> Prepare(const data::DistRelation& r,
+                               const data::DistRelation& s) const;
+  /// Sets `f`'s availability and generation rate for a join admitted at
+  /// `admit_at`: streamed out of the partition kernel with `overlap`,
+  /// in bulk after it otherwise.
+  void TimeFlow(const PreparedJoin& p, sim::SimTime admit_at,
+                net::Flow* f) const;
+  /// Records one delivered packet of the join into `a`.
+  void NoteArrival(const net::Packet& packet, sim::SimTime when,
+                   JoinArrivals* a) const;
+  /// Runs timed `flows` alone on a fresh fabric configured by `options`,
+  /// recording their arrivals into `a`.
+  net::TransferStats Distribute(const std::vector<net::Flow>& flows,
+                                const net::TransferOptions& options,
+                                JoinArrivals* a) const;
+  /// The per-GPU chain local partition -> probe of a join admitted at
+  /// `admit_at` whose packets arrived as `a` records.
+  JoinCompletion Complete(const PreparedJoin& p, sim::SimTime admit_at,
+                          const JoinArrivals& a) const;
+  ///@}
+
   const MgJoinOptions& options() const { return options_; }
   const std::vector<int>& gpus() const { return gpus_; }
 
  private:
   const topo::Topology* topo_;
   std::vector<int> gpus_;
+  std::vector<int> dense_;  ///< topology GPU id -> index in gpus_
   MgJoinOptions options_;
 };
 

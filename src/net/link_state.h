@@ -264,8 +264,9 @@ class LinkStateTable {
   std::uint64_t fault_events_applied_ = 0;
   int fault_track_ = -1;  // lazily assigned "net.faults" trace track
 
-  // Broadcasts propagate after this delay and are debounced to changes
-  // larger than 25% (and 2 us) of the previous published value.
+  // Broadcasts propagate after this delay and are debounced: one is
+  // sent only when the queue delay moved by more than
+  // max(kPublishFloor, 1/8 of the previously published value).
   static constexpr sim::SimTime kPropagationDelay = 3 * sim::kMicrosecond;
   static constexpr sim::SimTime kPublishFloor = 1 * sim::kMicrosecond;
 };

@@ -10,6 +10,30 @@
 
 namespace mgjoin::net {
 
+namespace {
+
+// Fixed machinery of the data-distribution step (paper Sec 4.1).
+// Concurrent outgoing transmissions per GPU (DMA copy engines).
+constexpr int kDmaEngines = 2;
+// Fixed per-batch cost of the CUDA framework (launch + descriptor).
+constexpr sim::SimTime kBatchOverhead = 10 * sim::kMicrosecond;
+// Receiver-side cost to unpack a delivered packet before its routing
+// slot can be reused.
+constexpr sim::SimTime kUnpackDelay = 3 * sim::kMicrosecond;
+// How long a sender waits between ring-buffer re-checks when the
+// receiver's buffer stays full.
+constexpr sim::SimTime kPollInterval = 50 * sim::kMicrosecond;
+// How long a sender blocked with no admissible route waits before
+// re-checking. Only polled while further fault events are scheduled — a
+// restore also re-kicks every sender immediately.
+constexpr sim::SimTime kFaultRetryInterval = 200 * sim::kMicrosecond;
+// Source-queue packets a tenant policy may look past a paced head when
+// forming a batch (finite arbiter lookahead; mixed-tenant queues would
+// otherwise head-of-line-block eligible queries). Unused under kFifo.
+constexpr std::size_t kArbReorderWindow = 64;
+
+}  // namespace
+
 TransferEngine::TransferEngine(sim::Simulator* sim,
                                const topo::Topology* topo,
                                std::vector<int> gpus, RoutingPolicy* policy,
@@ -36,7 +60,7 @@ TransferEngine::TransferEngine(sim::Simulator* sim,
   gpu_states_.resize(gpus_.size());
   for (GpuState& gs : gpu_states_) {
     gs.queues.resize(2 * gpus_.size());
-    gs.engine_busy.assign(options_.dma_engines, 0);
+    gs.engine_busy.assign(kDmaEngines, 0);
   }
   rings_.resize(gpus_.size() * gpus_.size());
   // At least two slots: one general plus the reserved last-hop slot.
@@ -44,7 +68,7 @@ TransferEngine::TransferEngine(sim::Simulator* sim,
       std::max<std::uint64_t>(2, options_.ring_buffer_bytes /
                                      options_.packet_bytes));
   for (RingLink& r : rings_) r.slots = slots;
-  dma_tracks_.assign(gpus_.size() * options_.dma_engines, -1);
+  dma_tracks_.assign(gpus_.size() * kDmaEngines, -1);
   fault_retry_pending_.assign(gpus_.size(), 0);
   links_.set_arbitration(options_.arbitration);
   links_.set_fault_callback(
@@ -192,7 +216,7 @@ void TransferEngine::RegisterAuditorChecks() {
 int TransferEngine::DmaTrack(int gpu, int slot) {
   int& track =
       dma_tracks_[static_cast<std::size_t>(dense_[gpu]) *
-                      options_.dma_engines +
+                      kDmaEngines +
                   slot];
   if (track < 0) {
     track = obs_.trace->Track("gpu" + std::to_string(gpu) + ".dma" +
@@ -330,7 +354,7 @@ void TransferEngine::InjectPackets(std::uint32_t flow_idx,
 void TransferEngine::TryStartSends(int gpu) {
   GpuState& gs = gpu_state(gpu);
   const int g = static_cast<int>(gpus_.size());
-  while (gs.busy_engines < options_.dma_engines) {
+  while (gs.busy_engines < kDmaEngines) {
     // Deterministic longest-queue-first service order (the weighted
     // round-robin of Sec 4.1 weights queues by their backlog share; the
     // longest queue is the one WRR would serve most).
@@ -437,9 +461,8 @@ bool TransferEngine::TryStartBatch(int gpu, const QueueKey& key) {
         return false;
       }
     } else {
-      const std::size_t window = std::min<std::size_t>(
-          queue.size(),
-          static_cast<std::size_t>(options_.arb_reorder_window));
+      const std::size_t window =
+          std::min<std::size_t>(queue.size(), kArbReorderWindow);
       std::size_t skip = 0;
       sim::SimTime earliest = 0;
       while (skip < window) {
@@ -510,11 +533,11 @@ void TransferEngine::SendBatch(int gpu, std::vector<QueuedPacket> batch,
   // Pin the batch to a DMA engine slot so its busy span lands on a
   // stable per-engine trace track.
   int slot = 0;
-  while (slot < options_.dma_engines && gs.engine_busy[slot]) ++slot;
-  MGJ_CHECK(slot < options_.dma_engines);
+  while (slot < kDmaEngines && gs.engine_busy[slot]) ++slot;
+  MGJ_CHECK(slot < kDmaEngines);
   gs.engine_busy[slot] = 1;
 
-  sim::SimTime start_at = sim_->Now() + options_.batch_overhead;
+  sim::SimTime start_at = sim_->Now() + kBatchOverhead;
   if (policy_->SerializesGlobally() && !options_.zero_control_overhead) {
     // MGJ-Baseline: every batch passes through a global barrier; the
     // whole machine serializes on the coordinator.
@@ -634,7 +657,7 @@ void TransferEngine::HandleArrival(Packet packet, int from_gpu) {
     if (deliver_cb_) deliver_cb_(packet, sim_->Now());
     // The routing slot frees once the payload is unpacked into the local
     // partitioning pipeline.
-    sim_->Schedule(options_.unpack_delay, [this, here, from_gpu] {
+    sim_->Schedule(kUnpackDelay, [this, here, from_gpu] {
       FreeRingSlot(here, from_gpu);
     });
     return;
@@ -699,7 +722,7 @@ void TransferEngine::StartRingSync(int receiver, int upstream) {
     if (r.FreeViewFor(true) >= 1) {
       TryStartSends(upstream);
     }
-    sim_->Schedule(options_.poll_interval, [this, receiver, upstream] {
+    sim_->Schedule(kPollInterval, [this, receiver, upstream] {
       // Keep polling while the sender still has queued traffic.
       GpuState& gs = gpu_state(upstream);
       for (const RingDeque<QueuedPacket>& q : gs.queues) {
@@ -856,7 +879,7 @@ void TransferEngine::ScheduleFaultRetry(int gpu) {
   // Counted as watchdog progress: waiting out an outage with a restore
   // scheduled is healthy, not deadlocked.
   ++stats_.fault_waits;
-  sim_->Schedule(options_.fault_retry_interval, [this, gpu] {
+  sim_->Schedule(kFaultRetryInterval, [this, gpu] {
     fault_retry_pending_[dense_[gpu]] = 0;
     TryStartSends(gpu);
   });
@@ -925,6 +948,19 @@ void TransferEngine::EscapeBlockedPackets(int sender, int receiver) {
     }
   }
   TryStartSends(sender);
+}
+
+void TraceBisection(obs::TraceRecorder* trace,
+                    const topo::Topology::BisectionCut& cut) {
+  obs::TraceRecorder::Args args = {
+      {"bps", static_cast<std::uint64_t>(cut.bandwidth)}};
+  for (std::size_t l = 0; l < cut.link_crossing.size(); ++l) {
+    if (cut.link_crossing[l]) {
+      args.emplace_back("cut" + std::to_string(args.size() - 1), l);
+    }
+  }
+  trace->Instant(trace->Track("net.info"), "net", "bisection", 0,
+                 std::move(args));
 }
 
 }  // namespace mgjoin::net

@@ -27,18 +27,8 @@ struct TransferOptions {
   int batch_packets = 8;
   /// Routing-buffer capacity per (receiver, upstream) pair.
   std::uint64_t ring_buffer_bytes = 64 * kMiB;
-  /// Concurrent outgoing transmissions per GPU (DMA copy engines).
-  int dma_engines = 2;
   /// Maximum intermediate GPUs on a route (paper: 3).
   int max_intermediates = 3;
-  /// Fixed per-batch cost of the CUDA framework (launch + descriptor).
-  sim::SimTime batch_overhead = 10 * sim::kMicrosecond;
-  /// Receiver-side cost to unpack a delivered packet before its routing
-  /// slot can be reused.
-  sim::SimTime unpack_delay = 3 * sim::kMicrosecond;
-  /// How long a sender waits between ring-buffer re-checks when the
-  /// receiver's buffer stays full.
-  sim::SimTime poll_interval = 50 * sim::kMicrosecond;
   /// Consecutive failed polls after which queued transit packets escape
   /// to their direct route (deadlock safety valve; see DESIGN.md).
   int escape_poll_threshold = 20;
@@ -48,19 +38,10 @@ struct TransferOptions {
   /// Scheduled link fault events, applied to the fabric when Start()
   /// runs (see net/fault_plan.h). Empty = healthy fabric.
   FaultPlan faults;
-  /// How long a sender blocked with no admissible route waits before
-  /// re-checking. Only polled while further fault events are scheduled —
-  /// a restore also re-kicks every sender immediately.
-  sim::SimTime fault_retry_interval = 200 * sim::kMicrosecond;
   /// How concurrent queries competing for a link direction are ordered
   /// (multi-tenant service; DESIGN.md Sec 15). kFifo reproduces the
   /// single-query engine byte for byte.
   ArbitrationKind arbitration = ArbitrationKind::kFifo;
-  /// Source-queue packets a tenant policy may look past a paced head
-  /// when forming a batch (finite arbiter lookahead; mixed-tenant
-  /// queues would otherwise head-of-line-block eligible queries).
-  /// Ignored under kFifo.
-  int arb_reorder_window = 64;
   /// Observability sinks (see obs/obs.h). Null trace/metrics pointers
   /// disable those sinks; a null auditor makes the engine run its own
   /// default one (sampled invariant checks + deadlock watchdog stay on).
@@ -328,7 +309,7 @@ class TransferEngine {
   std::vector<std::uint32_t> inflight_free_;
   std::vector<GpuState> gpu_states_;
   std::vector<RingLink> rings_;
-  std::vector<int> dma_tracks_;  // gpu-dense * dma_engines + slot
+  std::vector<int> dma_tracks_;  // gpu-dense * kDmaEngines + slot
   std::vector<int> service_order_;  // TryStartSends scratch (queue idxs)
   int ring_track_ = -1;
   int fault_track_ = -1;
@@ -344,6 +325,13 @@ class TransferEngine {
   sim::SimTime global_barrier_free_ = 0;  // centralized-policy serializer
   TransferStats stats_;
 };
+
+/// Records the min bisection cut on the trace's "net.info" track as a
+/// ts-0 "bisection" instant: arg "bps" is the cut's bandwidth, and args
+/// "cut0", "cut1", ... name the crossing links' ids, so the congestion
+/// report can compute bisection utilization from the trace alone.
+void TraceBisection(obs::TraceRecorder* trace,
+                    const topo::Topology::BisectionCut& cut);
 
 }  // namespace mgjoin::net
 

@@ -222,6 +222,7 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
   sim::SimTime dist_begin = 0, dist_end = 0;
   bool have_dist = false;
   double bisection_bps = 0.0;
+  std::vector<std::int64_t> cut_links;  // ids crossing the bisection cut
   std::vector<std::pair<std::string, LinkAccum>> links;
   std::vector<std::pair<std::int64_t, FaultTimeline>> faults;
 
@@ -269,6 +270,11 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
         it->second.steps.emplace_back(e.ts, factor);
       } else if (e.name == "bisection") {
         bisection_bps = static_cast<double>(e.Arg("bps"));
+        for (const auto& [k, v] : e.args) {
+          if (k.rfind("cut", 0) == 0) {
+            cut_links.push_back(static_cast<std::int64_t>(v));
+          }
+        }
       }
     }
   }
@@ -333,6 +339,7 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
   }
 
   double total_bytes = 0.0;
+  double cut_bytes = 0.0;
   double avail_weighted = 0.0;
   for (auto& [name, acc] : links) {
     acc.report.queue_ns = Summarize(&acc.queue_samples);
@@ -345,12 +352,18 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
       }
     }
     total_bytes += static_cast<double>(acc.report.bytes);
+    if (std::find(cut_links.begin(), cut_links.end(), acc.link_id) !=
+        cut_links.end()) {
+      cut_bytes += static_cast<double>(acc.report.bytes);
+    }
     avail_weighted +=
         static_cast<double>(acc.report.bytes) * acc.report.availability;
   }
 
   const double secs = sim::ToSeconds(window);
   out.congestion.achieved_wire_bps = secs > 0 ? total_bytes / secs : 0.0;
+  out.congestion.cut_known = !cut_links.empty();
+  out.congestion.cut_wire_bps = secs > 0 ? cut_bytes / secs : 0.0;
   out.congestion.adjusted_bisection_bps =
       total_bytes > 0 ? bisection_bps * (avail_weighted / total_bytes)
                       : bisection_bps;
@@ -497,12 +510,15 @@ std::string RunReport::ToText() const {
               c.achieved_wire_bps / 1e9);
   if (c.bisection_bps > 0) {
     AppendFixed(&out,
-                "  bisection peak: %.2f GB/s (availability-adjusted "
-                "%.2f); utilization %.1f%%\n",
-                c.bisection_bps / 1e9, c.adjusted_bisection_bps / 1e9,
-                c.adjusted_bisection_bps > 0
-                    ? 100.0 * c.achieved_wire_bps / c.adjusted_bisection_bps
-                    : 0.0);
+                "  bisection peak: %.2f GB/s (availability-adjusted %.2f)",
+                c.bisection_bps / 1e9, c.adjusted_bisection_bps / 1e9);
+    if (c.cut_known) {
+      AppendFixed(&out, "; utilization %.1f%%",
+                  c.adjusted_bisection_bps > 0
+                      ? 100.0 * c.cut_wire_bps / c.adjusted_bisection_bps
+                      : 0.0);
+    }
+    out += "\n";
   }
   if (!c.links.empty()) {
     out += "== link heatmap (util deciles over window) ==\n";

@@ -27,8 +27,9 @@ namespace mgjoin::obs::report {
 //    args {peak_bps, link_id} on first use.
 //  * track "net.faults"   — one instant per applied fault event with
 //    args {link, health_pct}; drives availability adjustment.
-//  * track "net.info"     — optional "bisection" instant with arg
-//    {bps}: the GPU set's min-cut bisection bandwidth.
+//  * track "net.info"     — optional "bisection" instant with args
+//    {bps, cut0, cut1, ...}: the GPU set's min-cut bisection bandwidth
+//    and the ids of the links crossing that cut.
 //
 // Everything is optional: a distribution-only trace (no join phases)
 // degrades to a single "distribution" critical-path slice, and traces
@@ -98,8 +99,13 @@ struct CongestionReport {
   std::vector<LinkReport> links;
   double bisection_bps = 0.0;  ///< from the "bisection" instant; 0 unknown
   /// Aggregate wire throughput: all bytes put on any link in the
-  /// window, per unit time (the Fig. 8 numerator).
+  /// window (every direction and every leg), per unit time.
   double achieved_wire_bps = 0.0;
+  /// True when the "bisection" instant names the cut's links.
+  bool cut_known = false;
+  /// Wire throughput over the links crossing the min bisection cut
+  /// only: the numerator of bisection utilization (Fig. 8).
+  double cut_wire_bps = 0.0;
   /// Bisection peak scaled by the byte-weighted availability of the
   /// links that carried traffic.
   double adjusted_bisection_bps = 0.0;

@@ -60,6 +60,59 @@ data::DistRelation GlobalRowRelation(const data::DistRelation& rel,
   return out;
 }
 
+/// The observability sinks every scenario run attaches, and the join
+/// configuration they observe. Scenarios always sample: it exercises the
+/// determinism contract (sampling must not perturb the run) on every
+/// corpus entry and fuzz iteration, and the exposition is
+/// verdict-checked.
+struct ScenarioSinks {
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  obs::TelemetrySampler telemetry{obs::TelemetrySampler::IntervalFromEnv()};
+  obs::InvariantAuditor auditor;
+  std::vector<std::string> violations;
+
+  ScenarioSinks() {
+    auditor.set_failure_handler(
+        [this](const std::string& m) { violations.push_back(m); });
+  }
+  ScenarioSinks(const ScenarioSinks&) = delete;
+  ScenarioSinks& operator=(const ScenarioSinks&) = delete;
+
+  /// The spec's join knobs, observed by these sinks.
+  join::MgJoinOptions JoinOptions(const ScenarioSpec& spec,
+                                  const topo::Topology& topo) {
+    join::MgJoinOptions o;
+    o.policy = spec.PolicyKind();
+    o.transfer.packet_bytes = spec.packet_kb * kKiB;
+    o.transfer.batch_packets = spec.batch_packets;
+    o.transfer.ring_buffer_bytes =
+        static_cast<std::uint64_t>(spec.ring_mb) * kMiB;
+    o.use_compression = spec.compression;
+    o.virtual_scale = spec.virtual_scale;
+    o.host_threads = spec.threads;
+    o.transfer.obs.trace = &trace;
+    o.transfer.obs.metrics = &metrics;
+    o.transfer.obs.auditor = &auditor;
+    o.transfer.obs.telemetry = &telemetry;
+    if (!spec.faults.empty()) {
+      // Validation already proved the spec parses.
+      o.transfer.faults = net::FaultPlan::Parse(spec.faults, topo).value();
+    }
+    return o;
+  }
+
+  /// Copies what the sinks saw into the verdict.
+  void Record(ScenarioVerdict* v) const {
+    v->auditor_violations = violations.size();
+    v->trace_events = trace.num_events();
+    v->trace_json = trace.ToJson();
+    v->telemetry_ticks = telemetry.ticks();
+    v->telemetry_series = telemetry.series().size();
+    v->openmetrics = obs::OpenMetricsText(&metrics, &telemetry);
+  }
+};
+
 /// Per-query delivered-bytes totals from the sampled per-flow telemetry,
 /// keyed by FlowTag::query_id. A run with one query yields one entry;
 /// multi-tenant service runs yield one per tenant.
@@ -87,31 +140,10 @@ ScenarioVerdict RunServiceScenario(const ScenarioSpec& spec) {
     ThreadPool::SetDefaultThreads(static_cast<std::size_t>(spec.threads));
   }
 
-  obs::TraceRecorder trace;
-  obs::MetricsRegistry metrics;
-  obs::TelemetrySampler telemetry(obs::TelemetrySampler::IntervalFromEnv());
-  obs::InvariantAuditor auditor;
-  std::vector<std::string> violations;
-  auditor.set_failure_handler(
-      [&violations](const std::string& m) { violations.push_back(m); });
+  ScenarioSinks sinks;
 
   svc::ServiceOptions opts;
-  opts.join.policy = spec.PolicyKind();
-  opts.join.transfer.packet_bytes = spec.packet_kb * kKiB;
-  opts.join.transfer.batch_packets = spec.batch_packets;
-  opts.join.transfer.ring_buffer_bytes =
-      static_cast<std::uint64_t>(spec.ring_mb) * kMiB;
-  opts.join.use_compression = spec.compression;
-  opts.join.virtual_scale = spec.virtual_scale;
-  opts.join.host_threads = spec.threads;
-  opts.join.transfer.obs.trace = &trace;
-  opts.join.transfer.obs.metrics = &metrics;
-  opts.join.transfer.obs.auditor = &auditor;
-  opts.join.transfer.obs.telemetry = &telemetry;
-  if (!spec.faults.empty()) {
-    opts.join.transfer.faults =
-        net::FaultPlan::Parse(spec.faults, *topo).value();
-  }
+  opts.join = sinks.JoinOptions(spec, *topo);
   opts.inflight_limit = spec.inflight;
   net::ParseArbitration(spec.arbitration, &opts.arbitration);
 
@@ -141,8 +173,8 @@ ScenarioVerdict RunServiceScenario(const ScenarioSpec& spec) {
   if (spec.threads > 0) ThreadPool::SetDefaultThreads(0);
   if (!res.ok()) {
     v.failures.push_back("service run failed: " + res.status().ToString());
-    v.auditor_violations = violations.size();
-    for (const std::string& m : violations) v.failures.push_back(m);
+    v.auditor_violations = sinks.violations.size();
+    for (const std::string& m : sinks.violations) v.failures.push_back(m);
     return v;
   }
   const svc::ServiceResult& out = res.value();
@@ -153,12 +185,7 @@ ScenarioVerdict RunServiceScenario(const ScenarioSpec& spec) {
   v.shuffled_bytes = out.net.payload_bytes;
   v.fault_reroutes = out.net.fault_reroutes;
   v.fault_aborts = out.net.fault_aborts;
-  v.auditor_violations = violations.size();
-  v.trace_events = trace.num_events();
-  v.trace_json = trace.ToJson();
-  v.telemetry_ticks = telemetry.ticks();
-  v.telemetry_series = telemetry.series().size();
-  v.openmetrics = obs::OpenMetricsText(&metrics, &telemetry);
+  sinks.Record(&v);
 
   // --- Per-query results vs the ReferenceJoin oracle. ---
   std::uint64_t oracle_checksum = 0;
@@ -201,11 +228,11 @@ ScenarioVerdict RunServiceScenario(const ScenarioSpec& spec) {
         "expect_matches " + std::to_string(spec.expect_matches) +
         " but got " + std::to_string(out.total_matches));
   }
-  for (const std::string& m : violations) v.failures.push_back(m);
+  for (const std::string& m : sinks.violations) v.failures.push_back(m);
 
   // --- Trace well-formedness (service flavor: the svc layer emits the
   // join_total span; the per-GPU phase tiling is a single-query notion).
-  if (trace.num_events() == 0) {
+  if (sinks.trace.num_events() == 0) {
     v.failures.push_back("run recorded no trace events");
   } else {
     auto events = obs::report::EventsFromTraceJson(v.trace_json);
@@ -240,11 +267,11 @@ ScenarioVerdict RunServiceScenario(const ScenarioSpec& spec) {
     v.failures.push_back("openmetrics exposition malformed: " +
                          st.ToString());
   }
-  if (out.net.payload_bytes > 0 && telemetry.ticks() == 0) {
+  if (out.net.payload_bytes > 0 && sinks.telemetry.ticks() == 0) {
     v.failures.push_back("telemetry took no samples despite traffic");
   }
   const std::map<std::uint64_t, std::uint64_t> by_query =
-      FlowDeliveredByQuery(telemetry);
+      FlowDeliveredByQuery(sinks.telemetry);
   std::uint64_t flow_total = 0;
   for (const auto& [qid, bytes] : by_query) flow_total += bytes;
   if (flow_total != out.net.payload_bytes) {
@@ -321,35 +348,10 @@ ScenarioVerdict RunScenario(const ScenarioSpec& spec) {
   const join::LocalJoinStats oracle = join::ReferenceJoin(rr, ss);
   v.reference_matches = oracle.matches;
 
-  obs::TraceRecorder trace;
-  obs::MetricsRegistry metrics;
-  obs::TelemetrySampler telemetry(obs::TelemetrySampler::IntervalFromEnv());
-  obs::InvariantAuditor auditor;
-  std::vector<std::string> violations;
-  auditor.set_failure_handler(
-      [&violations](const std::string& m) { violations.push_back(m); });
+  ScenarioSinks sinks;
 
   exec::EngineOptions opts;
-  opts.join.policy = spec.PolicyKind();
-  opts.join.transfer.packet_bytes = spec.packet_kb * kKiB;
-  opts.join.transfer.batch_packets = spec.batch_packets;
-  opts.join.transfer.ring_buffer_bytes =
-      static_cast<std::uint64_t>(spec.ring_mb) * kMiB;
-  opts.join.use_compression = spec.compression;
-  opts.join.virtual_scale = spec.virtual_scale;
-  opts.join.host_threads = spec.threads;
-  opts.join.transfer.obs.trace = &trace;
-  opts.join.transfer.obs.metrics = &metrics;
-  opts.join.transfer.obs.auditor = &auditor;
-  // Scenarios always sample: it exercises the determinism contract
-  // (sampling must not perturb the run) on every corpus entry and fuzz
-  // iteration, and the exposition below is verdict-checked.
-  opts.join.transfer.obs.telemetry = &telemetry;
-  if (!spec.faults.empty()) {
-    // Validation already proved the spec parses.
-    opts.join.transfer.faults =
-        net::FaultPlan::Parse(spec.faults, *topo).value();
-  }
+  opts.join = sinks.JoinOptions(spec, *topo);
 
   exec::Engine engine(topo.get(), gpus, opts);
   const exec::DistTable left = KeysToTable(r);
@@ -360,8 +362,8 @@ ScenarioVerdict RunScenario(const ScenarioSpec& spec) {
 
   if (!joined.ok()) {
     v.failures.push_back("join failed: " + joined.status().ToString());
-    v.auditor_violations = violations.size();
-    for (const std::string& m : violations) v.failures.push_back(m);
+    v.auditor_violations = sinks.violations.size();
+    for (const std::string& m : sinks.violations) v.failures.push_back(m);
     return v;
   }
   const exec::Engine::Joined& out = joined.value();
@@ -372,12 +374,7 @@ ScenarioVerdict RunScenario(const ScenarioSpec& spec) {
   v.shuffled_bytes = out.stats.shuffled_bytes;
   v.fault_reroutes = out.stats.net.fault_reroutes;
   v.fault_aborts = out.stats.net.fault_aborts;
-  v.auditor_violations = violations.size();
-  v.trace_events = trace.num_events();
-  v.trace_json = trace.ToJson();
-  v.telemetry_ticks = telemetry.ticks();
-  v.telemetry_series = telemetry.series().size();
-  v.openmetrics = obs::OpenMetricsText(&metrics, &telemetry);
+  sinks.Record(&v);
 
   // --- Result vs ReferenceJoin oracle. ---
   if (out.stats.matches != oracle.matches) {
@@ -410,10 +407,10 @@ ScenarioVerdict RunScenario(const ScenarioSpec& spec) {
   }
 
   // --- Auditor (includes the no-progress deadlock watchdog). ---
-  for (const std::string& m : violations) v.failures.push_back(m);
+  for (const std::string& m : sinks.violations) v.failures.push_back(m);
 
   // --- Trace well-formedness. ---
-  if (trace.num_events() == 0) {
+  if (sinks.trace.num_events() == 0) {
     v.failures.push_back("run recorded no trace events");
   } else {
     auto events = obs::report::EventsFromTraceJson(v.trace_json);
@@ -457,14 +454,14 @@ ScenarioVerdict RunScenario(const ScenarioSpec& spec) {
     v.failures.push_back("openmetrics exposition malformed: " +
                          st.ToString());
   }
-  if (out.stats.net.payload_bytes > 0 && telemetry.ticks() == 0) {
+  if (out.stats.net.payload_bytes > 0 && sinks.telemetry.ticks() == 0) {
     v.failures.push_back("telemetry took no samples despite traffic");
   }
   // Grouped by FlowTag query id: a single-query run must attribute all
   // its traffic to exactly one query, and the per-query totals must sum
   // to the engine's delivered payload.
   const std::map<std::uint64_t, std::uint64_t> by_query =
-      FlowDeliveredByQuery(telemetry);
+      FlowDeliveredByQuery(sinks.telemetry);
   std::uint64_t flow_total = 0;
   for (const auto& [qid, bytes] : by_query) flow_total += bytes;
   if (flow_total != out.stats.net.payload_bytes) {

@@ -88,6 +88,8 @@ class QueryScheduler {
   const topo::Topology* topo_;
   std::vector<int> gpus_;
   ServiceOptions options_;
+  /// Runs every query's host phases and per-GPU timing chain.
+  join::MgJoin join_;
 };
 
 }  // namespace mgjoin::svc

@@ -185,6 +185,10 @@ TEST(ReportTest, CongestionWindowMatchesDistributionPhase) {
   ASSERT_FALSE(cong.links.empty());
   EXPECT_GT(cong.bisection_bps, 0.0);
   EXPECT_GT(cong.achieved_wire_bps, 0.0);
+  // Traffic over the cut cannot exceed the cut's capacity.
+  EXPECT_TRUE(cong.cut_known);
+  EXPECT_GT(cong.cut_wire_bps, 0.0);
+  EXPECT_LE(cong.cut_wire_bps, cong.bisection_bps);
 
   std::uint64_t mib_total = 0;
   for (const report::LinkReport& l : cong.links) {
@@ -234,6 +238,31 @@ TEST(ReportTest, FaultAdjustsAvailabilityAndPeak) {
   EXPECT_TRUE(saw_degraded);
   EXPECT_LT(cong.adjusted_bisection_bps, cong.bisection_bps);
   EXPECT_GT(cong.adjusted_bisection_bps, 0.0);
+}
+
+TEST(ReportTest, BisectionUtilizationCountsOnlyCutLinks) {
+  // A 1 ms window with two busy links: link 1 crosses the cut and moves
+  // 50 MB, link 2 does not and moves 200 MB. Against a 100 GB/s cut only
+  // link 1's bytes count: 50 GB/s, 50%.
+  TraceRecorder tr;
+  const int cut = tr.Track("link.cut.fwd");
+  const int side = tr.Track("link.side.fwd");
+  tr.Instant(cut, "link", "info", 0, {{"peak_bps", 100000000000},
+                                      {"link_id", 1}});
+  tr.Instant(side, "link", "info", 0, {{"peak_bps", 100000000000},
+                                       {"link_id", 2}});
+  tr.Span(cut, "link", "xfer", 0, sim::kMillisecond,
+          {{"bytes", 50000000}, {"queue_ns", 0}});
+  tr.Span(side, "link", "xfer", 0, sim::kMillisecond,
+          {{"bytes", 200000000}, {"queue_ns", 0}});
+  tr.Instant(tr.Track("net.info"), "net", "bisection", 0,
+             {{"bps", 100000000000}, {"cut0", 1}});
+
+  const report::RunReport rep = report::BuildRunReport(tr.ExportEvents());
+  EXPECT_DOUBLE_EQ(rep.congestion.cut_wire_bps, 5e10);
+  EXPECT_DOUBLE_EQ(rep.congestion.achieved_wire_bps, 2.5e11);
+  EXPECT_NE(rep.ToText().find("utilization 50.0%"), std::string::npos)
+      << rep.ToText();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/units.h"
+#include "data/generator.h"
+#include "join/mg_join.h"
 #include "net/link_state.h"
 #include "net/packet.h"
 #include "net/routing_policy.h"
@@ -218,6 +220,38 @@ TEST(QuerySchedulerTest, SingleQueryHasUnitSlowdown) {
   EXPECT_EQ(out.queries[0].QueueDelay(), 0u);
   // Alone on the fabric, the shared run IS the solo run.
   EXPECT_DOUBLE_EQ(out.queries[0].Slowdown(), 1.0);
+}
+
+TEST(QuerySchedulerTest, SoloQueryMatchesExecute) {
+  // The scheduler runs a query through MgJoin's own host phases and
+  // timing chain: alone on the fabric it must reproduce Execute exactly,
+  // with overlap (MG-Join) and without (DPRJ's bulk transfers).
+  auto topo = MakeDgx1V();
+  const auto gpus = topo::FirstNGpus(4);
+  for (join::MgJoinOptions jopts :
+       {join::MgJoinOptions{}, join::MgJoinOptions::Dprj()}) {
+    SCOPED_TRACE(jopts.overlap ? "overlap" : "bulk");
+    jopts.virtual_scale = 256.0;
+    svc::QuerySpec q = SmallQuery(1);
+    q.gen.num_gpus = static_cast<int>(gpus.size());
+    const auto [r, s] = data::MakeJoinInput(q.gen);
+    const auto direct = join::MgJoin(topo.get(), gpus, jopts).Execute(r, s);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+    svc::ServiceOptions opts;
+    opts.join = jopts;
+    const auto served =
+        svc::QueryScheduler(topo.get(), gpus, opts).Run({q});
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served.value().tenancy.queries.size(), 1u);
+    const auto& out = served.value().tenancy.queries[0];
+    const sim::SimTime total = direct.value().timing.total;
+    EXPECT_GT(direct.value().net.payload_bytes, 0u);
+    EXPECT_EQ(out.complete_at - out.admit_at, total);
+    EXPECT_EQ(out.solo_latency, total);
+    EXPECT_EQ(out.matches, direct.value().matches);
+    EXPECT_EQ(served.value().checksum, direct.value().checksum);
+  }
 }
 
 TEST(QuerySchedulerTest, InflightLimitSerializesAdmissions) {
