@@ -127,20 +127,23 @@ void ParallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn) {
   if (end <= begin) return;
   const std::size_t n = end - begin;
-  if (ThreadPool::InWorker()) {
-    // Nested parallel section: run inline on this worker. Blocking in
-    // Wait() here would deadlock the pool, and re-submitting would fan
-    // out N^2 tasks.
+  // Inline for a nested section as well as a tiny range or a one-thread
+  // pool: a worker blocking in Wait() would deadlock the pool, and
+  // re-submitting would fan out N^2 tasks.
+  ThreadPool* pool = ThreadPool::InWorker() ? nullptr : ThreadPool::Default();
+  if (pool == nullptr || n < 2 || pool->num_threads() < 2) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  ThreadPool* pool = ThreadPool::Default();
-  if (n < 2 || pool->num_threads() < 2) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  for (std::size_t i = begin; i < end; ++i) {
-    pool->Submit([i, &fn] { fn(i); });
+  constexpr std::size_t kBlocksPerThread = 4;
+  const std::size_t blocks =
+      std::min(n, kBlocksPerThread * pool->num_threads());
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t lo = begin + n * b / blocks;
+    const std::size_t hi = begin + n * (b + 1) / blocks;
+    pool->Submit([lo, hi, &fn] {
+      for (std::size_t i = lo; i < hi; ++i) fn(i);
+    });
   }
   pool->Wait();
 }

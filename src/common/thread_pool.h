@@ -80,17 +80,38 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// Runs fn(i) for i in [begin, end) across the default pool, blocking
-/// until all iterations complete. Falls back to serial execution for
-/// small ranges and when already inside a pool worker (nested use).
-/// Exceptions thrown by `fn` propagate to the caller.
+/// \brief Runs fn(i) for every i in [begin, end) on the default pool,
+/// blocking until all iterations complete.
+///
+/// The n = end - begin indices are split into B = min(n, 4 x pool
+/// threads) contiguous blocks; block b covers
+/// [begin + n*b/B, begin + n*(b+1)/B) and is one pool task that runs its
+/// indices in ascending order. One task per block instead of one per
+/// index keeps ranges of thousands of tiny items (one co-partition each
+/// in the local join) from paying a queue push, a heap-allocated closure
+/// and a condvar wake-up per item; the factor 4 leaves the pool some
+/// slack to balance uneven blocks. Block edges depend on the thread
+/// count, so callers write per-index output and merge it in index order
+/// (DESIGN.md Sec 11).
+///
+/// Runs inline, in index order, when the range has fewer than 2
+/// indices, when the default pool has one thread, and when called from
+/// a pool worker (a nested section must not block on its own pool).
+///
+/// Exceptions thrown by `fn` propagate to the caller. With blocks, the
+/// first exception to reach the pool is rethrown after every block has
+/// finished; the indices after the throwing one in the same block may
+/// be skipped, while every other block runs all of its indices. Inline,
+/// the loop stops at the first throw.
 void ParallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn);
 
 /// Morsel-granular variant: splits [begin, end) into fixed chunks of
-/// `grain` indices and runs fn(chunk_begin, chunk_end) per chunk. Chunk
-/// boundaries depend only on `grain`, never on the thread count, so
-/// per-chunk outputs merged in chunk order are thread-count invariant.
+/// `grain` indices and runs fn(chunk_begin, chunk_end) per chunk, with
+/// the chunk indices spread by ParallelFor. Chunk boundaries depend only
+/// on `grain`, never on the thread count, so per-chunk outputs merged in
+/// chunk order (and chunk-local floating-point sums) are thread-count
+/// invariant.
 void ParallelForChunked(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& fn);

@@ -1,6 +1,7 @@
 #include "join/shuffle.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "common/logging.h"
@@ -13,10 +14,18 @@ namespace {
 
 using Buckets = std::vector<std::vector<data::Tuple>>;
 
-// Buckets one shard by radix partition.
+// Buckets one shard by radix partition. A counting pass sizes each
+// bucket exactly, so filling it never regrows (or over-allocates) it.
 Buckets BucketShard(const data::Shard& shard, int domain_bits,
                     int radix_bits) {
-  Buckets buckets(1u << radix_bits);
+  std::vector<std::size_t> counts(1u << radix_bits, 0);
+  for (const data::Tuple& t : shard) {
+    ++counts[data::RadixPartition(t.key, domain_bits, radix_bits)];
+  }
+  Buckets buckets(counts.size());
+  for (std::size_t p = 0; p < counts.size(); ++p) {
+    if (counts[p] != 0) buckets[p].reserve(counts[p]);
+  }
   for (const data::Tuple& t : shard) {
     buckets[data::RadixPartition(t.key, domain_bits, radix_bits)]
         .push_back(t);
@@ -104,7 +113,11 @@ ShuffleResult ShufflePartitions(const data::DistRelation& r,
         acc->moved += bucket.size();
       }
       auto& target = recv[dst][p];
-      target.insert(target.end(), bucket.begin(), bucket.end());
+      if (dests.size() == 1 && target.empty()) {
+        target = std::move(bucket);  // sole destination: hand it over
+      } else {
+        target.insert(target.end(), bucket.begin(), bucket.end());
+      }
     }
   };
 

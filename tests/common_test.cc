@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/hash.h"
@@ -308,6 +309,82 @@ TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
       std::runtime_error);
 }
 
+TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnceAtAnyThreadCount) {
+  // Block edges move with the pool size; every index of [begin, end)
+  // must still run exactly once and nothing outside it may run.
+  constexpr std::size_t kBegin = 7;
+  for (std::size_t threads : {1, 3, 4, 8}) {
+    ThreadPool::SetDefaultThreads(threads);
+    for (std::size_t n : {1, 3, 15, 17, 257, 4096}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> outside{0};
+      ParallelFor(kBegin, kBegin + n, [&](std::size_t i) {
+        if (i < kBegin || i >= kBegin + n) {
+          outside.fetch_add(1);
+        } else {
+          hits[i - kBegin].fetch_add(1);
+        }
+      });
+      EXPECT_EQ(outside.load(), 0) << threads << " threads, n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << threads << " threads, n=" << n << ", index " << kBegin + i;
+      }
+    }
+  }
+  ThreadPool::SetDefaultThreads(0);
+}
+
+TEST(ThreadPoolTest, ParallelForBlockExceptionContract) {
+  // n = 64 at 4 threads is 16 blocks of 4 indices: index 13 throws in
+  // block [12, 16). Its first exception is rethrown once every block has
+  // finished; 14 and 15 may be skipped, every other index runs once.
+  ThreadPool::SetDefaultThreads(4);
+  std::vector<std::atomic<int>> hits(64);
+  EXPECT_THROW(ParallelFor(0, 64,
+                           [&hits](std::size_t i) {
+                             hits[i].fetch_add(1);
+                             if (i == 13) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (i == 14 || i == 15) {
+      EXPECT_LE(hits[i].load(), 1) << i;
+    } else {
+      EXPECT_EQ(hits[i].load(), 1) << i;
+    }
+  }
+
+  // Two failing blocks: exactly one of their exceptions surfaces, and
+  // the pool is reusable afterwards.
+  try {
+    ParallelFor(0, 64, [](std::size_t i) {
+      if (i == 2) throw std::runtime_error("low");
+      if (i == 61) throw std::logic_error("high");
+    });
+    ADD_FAILURE() << "ParallelFor swallowed both exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "low");
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "high");
+  }
+  std::atomic<int> after{0};
+  ParallelFor(0, 64, [&after](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 64);
+
+  // Inline (one thread), the loop stops at the first throw.
+  ThreadPool::SetDefaultThreads(1);
+  std::size_t ran = 0;
+  EXPECT_THROW(ParallelFor(0, 64,
+                           [&ran](std::size_t i) {
+                             ++ran;
+                             if (i == 13) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(ran, 14u);
+  ThreadPool::SetDefaultThreads(0);
+}
+
 TEST(ThreadPoolTest, StressManyWaves) {
   ThreadPool pool(8);
   std::atomic<std::uint64_t> sum{0};
@@ -322,16 +399,23 @@ TEST(ThreadPoolTest, StressManyWaves) {
 
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   // A ParallelFor from inside a pool task must not block on the pool it
-  // runs on (deadlock) or fan out N^2 tasks; it runs inline.
-  std::atomic<int> inner_total{0};
-  ParallelFor(0, 16, [&inner_total](std::size_t) {
-    EXPECT_TRUE(ThreadPool::Default()->num_threads() < 2 ||
-                ThreadPool::InWorker());
-    ParallelFor(0, 8, [&inner_total](std::size_t) {
-      inner_total.fetch_add(1);
+  // runs on (deadlock) or fan out N^2 tasks; it runs inline, in order,
+  // on the worker that runs the outer index.
+  ThreadPool::SetDefaultThreads(4);
+  std::vector<std::vector<std::size_t>> inner_order(16);
+  std::atomic<int> off_thread{0};
+  ParallelFor(0, 16, [&](std::size_t o) {
+    EXPECT_TRUE(ThreadPool::InWorker());
+    const std::thread::id outer = std::this_thread::get_id();
+    ParallelFor(0, 8, [&, o, outer](std::size_t i) {
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+      inner_order[o].push_back(i);
     });
   });
-  EXPECT_EQ(inner_total.load(), 16 * 8);
+  EXPECT_EQ(off_thread.load(), 0);
+  const std::vector<std::size_t> want = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (const auto& order : inner_order) EXPECT_EQ(order, want);
+  ThreadPool::SetDefaultThreads(0);
 }
 
 TEST(ThreadPoolTest, ParallelForChunkedCoversRangeOnce) {

@@ -1,12 +1,13 @@
 // Thread-count-invariance suite (DESIGN.md Sec 11): every functional
 // result, matched-pair list, and exported trace must be byte-identical
-// whether the host runs on 1, 2 or 8 worker threads. This property is
+// whether the host runs on 1, 2, 3 or 8 worker threads. This property is
 // what makes the CI bench gate sound — a simulated-time regression can
 // never be explained away by "the thread count changed".
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,16 @@
 namespace mgjoin {
 namespace {
 
-// The thread counts the suite sweeps. ResolveThreadCount clamps
-// explicit requests to max(hardware, 8), so 8 real workers exist even
-// on small CI machines and the interleavings are genuinely exercised.
-const std::size_t kThreadCounts[] = {1, 2, 8};
+// The thread counts the suite sweeps; the first is the serial baseline
+// the others are compared against. ResolveThreadCount clamps explicit
+// requests to max(hardware, 8), so 8 real workers exist even on small
+// CI machines and the interleavings are genuinely exercised. ParallelFor
+// splits a range into 4 blocks per worker, so at 3 workers (12 blocks)
+// block edges fall inside the power-of-two partition and chunk ranges
+// instead of on their boundaries.
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 8};
+constexpr std::span<const std::size_t> kParallelThreadCounts =
+    std::span(kThreadCounts).subspan(1);
 
 struct JoinRun {
   join::JoinResult result;
@@ -64,7 +71,7 @@ TEST(DeterminismTest, JoinResultAndTraceInvariantAcrossThreadCounts) {
   const JoinRun base = RunSkewedJoin(kThreadCounts[0]);
   EXPECT_GT(base.result.matches, 0u);
   EXPECT_FALSE(base.result.pairs.empty());
-  for (std::size_t t : {kThreadCounts[1], kThreadCounts[2]}) {
+  for (std::size_t t : kParallelThreadCounts) {
     const JoinRun run = RunSkewedJoin(t);
     EXPECT_EQ(run.result.matches, base.result.matches) << t;
     EXPECT_EQ(run.result.checksum, base.result.checksum) << t;
@@ -199,7 +206,7 @@ TEST(DeterminismTest, GeneratorInvariantAcrossThreadCounts) {
   auto [r1, s1] = data::MakeJoinInput(gen);
   const std::uint64_t dr = DigestRelation(r1);
   const std::uint64_t ds = DigestRelation(s1);
-  for (std::size_t t : {kThreadCounts[1], kThreadCounts[2]}) {
+  for (std::size_t t : kParallelThreadCounts) {
     ThreadPool::SetDefaultThreads(t);
     auto [r, s] = data::MakeJoinInput(gen);
     EXPECT_EQ(DigestRelation(r), dr) << t;
@@ -218,7 +225,7 @@ TEST(DeterminismTest, ReferenceJoinInvariantAndAgreesWithMgJoin) {
   ThreadPool::SetDefaultThreads(1);
   const join::LocalJoinStats ref1 = join::ReferenceJoin(r, s);
   EXPECT_GT(ref1.matches, 0u);
-  for (std::size_t t : {kThreadCounts[1], kThreadCounts[2]}) {
+  for (std::size_t t : kParallelThreadCounts) {
     ThreadPool::SetDefaultThreads(t);
     const join::LocalJoinStats ref = join::ReferenceJoin(r, s);
     EXPECT_EQ(ref.matches, ref1.matches) << t;
@@ -258,7 +265,7 @@ TEST(DeterminismTest, BatchCompressionInvariantAcrossThreadCounts) {
       data::CompressPartitions(parts, domain_bits, radix_bits)
           .ValueOrDie();
   ASSERT_EQ(base.size(), parts.size());
-  for (std::size_t t : {kThreadCounts[1], kThreadCounts[2]}) {
+  for (std::size_t t : kParallelThreadCounts) {
     ThreadPool::SetDefaultThreads(t);
     const auto cps =
         data::CompressPartitions(parts, domain_bits, radix_bits)
@@ -312,7 +319,7 @@ TEST(DeterminismTest, LocalJoinPairOrderMatchesSerial) {
   const join::LocalJoinStats serial =
       join::LocalPartitionAndProbe(&r1, &s1, opts);
   EXPECT_GT(serial.matches, 0u);
-  for (std::size_t t : {kThreadCounts[1], kThreadCounts[2]}) {
+  for (std::size_t t : kParallelThreadCounts) {
     ThreadPool::SetDefaultThreads(t);
     auto [rp, sp] = input();
     const join::LocalJoinStats par =
