@@ -68,9 +68,9 @@ void BM_LocalJoin(benchmark::State& state) {
   opts.tuples_per_relation = static_cast<std::uint64_t>(state.range(0));
   opts.num_gpus = 1;
   auto [r, s] = data::MakeJoinInput(opts);
+  const data::PartitionedShard rp{r.shards[0], {0, r.shards[0].size()}};
+  const data::PartitionedShard sp{s.shards[0], {0, s.shards[0].size()}};
   for (auto _ : state) {
-    std::vector<std::vector<data::Tuple>> rp{r.shards[0]};
-    std::vector<std::vector<data::Tuple>> sp{s.shards[0]};
     benchmark::DoNotOptimize(
         join::LocalPartitionAndProbe(&rp, &sp, join::LocalJoinOptions{}));
   }

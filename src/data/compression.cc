@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace mgjoin::data {
 
@@ -137,41 +136,6 @@ std::uint64_t EstimateCompressedBytes(const Tuple* tuples, std::size_t n,
     bits += 38 + static_cast<std::uint64_t>(end - start) * delta_bits;
   }
   return bits / 8 + 16;
-}
-
-Result<std::vector<CompressedPartition>> CompressPartitions(
-    const std::vector<std::vector<Tuple>>& parts, int domain_bits,
-    int radix_bits) {
-  std::vector<Result<CompressedPartition>> results(
-      parts.size(), Status::Internal("not compressed"));
-  ParallelFor(0, parts.size(), [&](std::size_t p) {
-    results[p] = CompressPartition(parts[p].data(), parts[p].size(),
-                                   static_cast<std::uint32_t>(p),
-                                   domain_bits, radix_bits);
-  });
-  std::vector<CompressedPartition> out;
-  out.reserve(parts.size());
-  for (auto& r : results) {
-    if (!r.ok()) return r.status();
-    out.push_back(std::move(r).value());
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<Tuple>>> DecompressPartitions(
-    const std::vector<CompressedPartition>& parts) {
-  std::vector<Result<std::vector<Tuple>>> results(
-      parts.size(), Status::Internal("not decompressed"));
-  ParallelFor(0, parts.size(), [&](std::size_t p) {
-    results[p] = DecompressPartition(parts[p]);
-  });
-  std::vector<std::vector<Tuple>> out;
-  out.reserve(parts.size());
-  for (auto& r : results) {
-    if (!r.ok()) return r.status();
-    out.push_back(std::move(r).value());
-  }
-  return out;
 }
 
 }  // namespace mgjoin::data

@@ -85,21 +85,6 @@ std::uint64_t EstimateCompressedBytes(const Tuple* tuples, std::size_t n,
                                       int domain_bits, int radix_bits,
                                       int extra_bits = 0);
 
-/// \brief Compresses a full partition set (partition id = index) with
-/// one pool task per partition.
-///
-/// Output is positionally aligned with the input and each partition's
-/// payload depends only on its own tuples, so the result is identical at
-/// any thread count. On error, the status of the lowest failing
-/// partition index is returned.
-Result<std::vector<CompressedPartition>> CompressPartitions(
-    const std::vector<std::vector<Tuple>>& parts, int domain_bits,
-    int radix_bits);
-
-/// Reverses CompressPartitions; output[i] decompresses parts[i].
-Result<std::vector<std::vector<Tuple>>> DecompressPartitions(
-    const std::vector<CompressedPartition>& parts);
-
 }  // namespace mgjoin::data
 
 #endif  // MGJOIN_DATA_COMPRESSION_H_

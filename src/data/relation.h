@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -23,6 +24,23 @@ static_assert(sizeof(Tuple) == 8);
 
 /// Tuples resident on one GPU.
 using Shard = std::vector<Tuple>;
+
+/// \brief Tuples resident on one GPU, grouped by radix partition: one
+/// flat array in which partition p occupies [offsets[p], offsets[p + 1]).
+struct PartitionedShard {
+  std::vector<Tuple> tuples;
+  /// Partition count + 1 entries; offsets.back() == tuples.size().
+  std::vector<std::size_t> offsets;
+
+  /// Number of partitions.
+  std::size_t size() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  std::span<const Tuple> operator[](std::size_t p) const {
+    return std::span(tuples).subspan(offsets[p],
+                                     offsets[p + 1] - offsets[p]);
+  }
+};
 
 /// \brief A relation horizontally partitioned over the participating
 /// GPUs (shards are indexed by dense position, not GPU id).

@@ -1,6 +1,7 @@
 #include "join/local_join.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/bitutil.h"
@@ -12,26 +13,11 @@ namespace mgjoin::join {
 
 namespace {
 
-// Nested-loop join of one shared-memory-sized co-partition (the paper's
-// probe variant).
-void NestedLoopCoPartition(const std::vector<data::Tuple>& r,
-                           const std::vector<data::Tuple>& s,
-                           bool materialize, LocalJoinStats* stats) {
-  for (const data::Tuple& a : r) {
-    for (const data::Tuple& b : s) {
-      if (a.key != b.key) continue;
-      ++stats->matches;
-      AccumulateMatch(a.id, b.id, &stats->checksum);
-      if (materialize) stats->pairs.emplace_back(a.id, b.id);
-    }
-  }
-}
-
 // Joins one co-partition where at least one side is small: build a tiny
 // chained hash table on the smaller side, probe with the other.
-void JoinCoPartition(const std::vector<data::Tuple>& r,
-                     const std::vector<data::Tuple>& s,
-                     bool materialize, LocalJoinStats* stats) {
+void JoinCoPartition(std::span<const data::Tuple> r,
+                     std::span<const data::Tuple> s, bool materialize,
+                     LocalJoinStats* stats) {
   if (r.empty() || s.empty()) return;
   const bool build_r = r.size() <= s.size();
   const auto& build = build_r ? r : s;
@@ -66,19 +52,16 @@ void JoinCoPartition(const std::vector<data::Tuple>& r,
 }
 
 // Recursively splits a co-partition on hash bits until one side fits
-// shared memory, then probes.
-void Recurse(std::vector<data::Tuple>&& r, std::vector<data::Tuple>&& s,
+// shared memory, then probes. Each level's sub-partitions are freed as
+// soon as their own recursion returns.
+void Recurse(std::span<const data::Tuple> r, std::span<const data::Tuple> s,
              int depth, const LocalJoinOptions& opts,
              LocalJoinStats* stats) {
   if (r.empty() || s.empty()) return;
   stats->max_depth = std::max(stats->max_depth, depth);
   const std::uint64_t small_side = std::min(r.size(), s.size());
   if (small_side <= opts.shared_mem_tuples || depth >= opts.max_depth) {
-    if (opts.probe == ProbeAlgorithm::kNestedLoop) {
-      NestedLoopCoPartition(r, s, opts.materialize_pairs, stats);
-    } else {
-      JoinCoPartition(r, s, opts.materialize_pairs, stats);
-    }
+    JoinCoPartition(r, s, opts.materialize_pairs, stats);
     return;
   }
   const int fanout_bits = opts.bits_per_pass;
@@ -91,21 +74,18 @@ void Recurse(std::vector<data::Tuple>&& r, std::vector<data::Tuple>&& s,
   for (const data::Tuple& t : r) rb[bucket_of(t.key)].push_back(t);
   for (const data::Tuple& t : s) sb[bucket_of(t.key)].push_back(t);
   stats->partition_tuple_passes += r.size() + s.size();
-  r.clear();
-  r.shrink_to_fit();
-  s.clear();
-  s.shrink_to_fit();
   for (std::uint32_t b = 0; b < fanout; ++b) {
-    Recurse(std::move(rb[b]), std::move(sb[b]), depth + 1, opts, stats);
+    Recurse(rb[b], sb[b], depth + 1, opts, stats);
+    rb[b] = {};
+    sb[b] = {};
   }
 }
 
 }  // namespace
 
-LocalJoinStats LocalPartitionAndProbe(
-    std::vector<std::vector<data::Tuple>>* r_parts,
-    std::vector<std::vector<data::Tuple>>* s_parts,
-    const LocalJoinOptions& options) {
+LocalJoinStats LocalPartitionAndProbe(const data::PartitionedShard* r_parts,
+                                      const data::PartitionedShard* s_parts,
+                                      const LocalJoinOptions& options) {
   MGJ_CHECK(r_parts->size() == s_parts->size());
   // Morsel = one received co-partition: partitions share no keys, so
   // each runs the full recursion independently into its own stats.
@@ -115,8 +95,7 @@ LocalJoinStats LocalPartitionAndProbe(
     LocalJoinStats& st = per_part[p];
     st.r_tuples = (*r_parts)[p].size();
     st.s_tuples = (*s_parts)[p].size();
-    Recurse(std::move((*r_parts)[p]), std::move((*s_parts)[p]),
-            /*depth=*/0, options, &st);
+    Recurse((*r_parts)[p], (*s_parts)[p], /*depth=*/0, options, &st);
   });
   // Merge in canonical partition order. Counts and the checksum are
   // additive; pairs concatenate partition-by-partition, reproducing the

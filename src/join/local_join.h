@@ -29,14 +29,6 @@ struct LocalJoinStats {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
 };
 
-/// How co-partitions are joined in the probe phase. The paper notes
-/// both achieve similar performance once a co-partition fits in shared
-/// memory and uses the nested-loop variant (Sec 3.2, "Probe").
-enum class ProbeAlgorithm {
-  kHash,        ///< small chained hash table on the smaller side
-  kNestedLoop,  ///< the paper's choice; O(|r|x|s|) per co-partition
-};
-
 struct LocalJoinOptions {
   /// Co-partitions are split until one side fits this many tuples (the
   /// shared-memory capacity).
@@ -49,16 +41,15 @@ struct LocalJoinOptions {
   /// Materialize the matched (r_id, s_id) pairs in LocalJoinStats::pairs
   /// (needed by the query layer; counting-only joins skip it).
   bool materialize_pairs = false;
-  /// Probe implementation for the final co-partitions.
-  ProbeAlgorithm probe = ProbeAlgorithm::kHash;
 };
 
 /// Runs local partitioning + probe over one GPU's received partitions
-/// (indexed by global partition id; R and S aligned).
-LocalJoinStats LocalPartitionAndProbe(
-    std::vector<std::vector<data::Tuple>>* r_parts,
-    std::vector<std::vector<data::Tuple>>* s_parts,
-    const LocalJoinOptions& options);
+/// (indexed by global partition id; R and S aligned). Final
+/// co-partitions are probed through a small chained hash table on the
+/// smaller side.
+LocalJoinStats LocalPartitionAndProbe(const data::PartitionedShard* r_parts,
+                                      const data::PartitionedShard* s_parts,
+                                      const LocalJoinOptions& options);
 
 /// Single-node reference hash join used as the verification oracle.
 /// Returns matches and the same order-independent checksum.

@@ -173,7 +173,7 @@ Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
       pass_tuples += (rv + sv) * static_cast<std::uint64_t>(depth);
     }
 
-    // Functional local join (consumes the received buckets).
+    // Functional local join over the received partitions.
     LocalJoinOptions lopts = options_.local;
     lopts.materialize_pairs = options_.materialize_pairs;
     LocalJoinStats stats = LocalPartitionAndProbe(

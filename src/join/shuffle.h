@@ -18,9 +18,11 @@ namespace mgjoin::join {
 /// counts reflect the transfer compression (and the virtual scale, when
 /// the experiment simulates paper-sized inputs).
 struct ShuffleResult {
-  /// recv[dense_gpu][partition] -> tuples of that relation now resident.
-  std::vector<std::vector<std::vector<data::Tuple>>> r_recv;
-  std::vector<std::vector<std::vector<data::Tuple>>> s_recv;
+  /// Tuples of each relation now resident, per dense GPU. Partition p
+  /// at a GPU holds the runs of source GPUs 0, 1, ..., g-1 in that
+  /// order, each run in shard order.
+  std::vector<data::PartitionedShard> r_recv;
+  std::vector<data::PartitionedShard> s_recv;
   /// One flow per (src, dst) pair with traffic; bytes are wire bytes
   /// after compression, multiplied by the virtual scale.
   std::vector<net::Flow> flows;
@@ -38,7 +40,8 @@ struct ShuffleOptions {
 };
 
 /// Executes the distribution functionally and builds the flow set.
-/// Histograms supply the radix width; the assignment supplies owners.
+/// `radix_bits` sets the partition count, the assignment supplies
+/// owners; R and S must share one key domain.
 ShuffleResult ShufflePartitions(const data::DistRelation& r,
                                 const data::DistRelation& s,
                                 int radix_bits,

@@ -13,11 +13,13 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "data/compression.h"
 #include "data/generator.h"
 #include "data/relation.h"
+#include "join/histogram.h"
 #include "join/local_join.h"
 #include "join/mg_join.h"
+#include "join/partition_assignment.h"
+#include "join/shuffle.h"
 #include "net/fault_plan.h"
 #include "net/link_state.h"
 #include "obs/metrics.h"
@@ -243,47 +245,90 @@ TEST(DeterminismTest, ReferenceJoinInvariantAndAgreesWithMgJoin) {
   ThreadPool::SetDefaultThreads(0);
 }
 
-TEST(DeterminismTest, BatchCompressionInvariantAcrossThreadCounts) {
-  // Bucket a relation into radix partitions, then compress the whole
-  // set in parallel; payload bytes must not depend on the thread count
-  // and the round trip must restore every tuple in order.
-  const int domain_bits = 16;
-  const int radix_bits = 6;
-  data::GenOptions gen;
-  gen.tuples_per_relation = 1u << domain_bits;
-  gen.num_gpus = 1;
-  auto [r, s] = data::MakeJoinInput(gen);
-  (void)s;
-  std::vector<std::vector<data::Tuple>> parts(1u << radix_bits);
-  for (const data::Tuple& t : r.shards[0]) {
-    parts[data::RadixPartition(t.key, domain_bits, radix_bits)]
-        .push_back(t);
+// Lays out per-partition tuple lists as one flat partitioned shard.
+data::PartitionedShard Flatten(
+    const std::vector<std::vector<data::Tuple>>& parts) {
+  data::PartitionedShard out;
+  out.offsets.push_back(0);
+  for (const std::vector<data::Tuple>& part : parts) {
+    out.tuples.insert(out.tuples.end(), part.begin(), part.end());
+    out.offsets.push_back(out.tuples.size());
   }
+  return out;
+}
 
-  ThreadPool::SetDefaultThreads(1);
-  const auto base =
-      data::CompressPartitions(parts, domain_bits, radix_bits)
-          .ValueOrDie();
-  ASSERT_EQ(base.size(), parts.size());
-  for (std::size_t t : kParallelThreadCounts) {
-    ThreadPool::SetDefaultThreads(t);
-    const auto cps =
-        data::CompressPartitions(parts, domain_bits, radix_bits)
-            .ValueOrDie();
-    ASSERT_EQ(cps.size(), base.size()) << t;
-    for (std::size_t p = 0; p < cps.size(); ++p) {
-      EXPECT_EQ(cps[p].tuple_count, base[p].tuple_count);
-      EXPECT_TRUE(cps[p].payload == base[p].payload) << "partition " << p;
-    }
-    const auto back = data::DecompressPartitions(cps).ValueOrDie();
-    ASSERT_EQ(back.size(), parts.size()) << t;
-    for (std::size_t p = 0; p < back.size(); ++p) {
-      ASSERT_EQ(back[p].size(), parts[p].size()) << "partition " << p;
-      for (std::size_t i = 0; i < back[p].size(); ++i) {
-        EXPECT_EQ(back[p][i].key, parts[p][i].key);
-        EXPECT_EQ(back[p][i].id, parts[p][i].id);
+TEST(DeterminismTest, ShuffleLayoutInvariantAndMatchesNaiveReference) {
+  // Skewed keys and placement split partitions, so the broadcast copies
+  // run too. The received layout, flows and byte counters must not
+  // depend on the thread count, and the layout must equal a naive
+  // append: per partition, source shards in ascending order, each in
+  // shard order, at every destination.
+  data::GenOptions gen;
+  gen.tuples_per_relation = 1u << 17;
+  gen.num_gpus = 8;
+  gen.key_zipf = 1.0;
+  gen.placement_zipf = 0.5;
+  auto [r, s] = data::MakeJoinInput(gen);
+  auto topo = topo::MakeDgx1V();
+  const std::vector<int> gpus = topo::FirstNGpus(8);
+  const int radix_bits = 12;
+  const join::PartitionAssignment pa = join::ComputeAssignment(
+      *topo, gpus, join::BuildHistograms(r, radix_bits),
+      join::BuildHistograms(s, radix_bits), join::AssignmentOptions{});
+  ASSERT_GT(pa.split_partitions, 0u);
+
+  auto naive = [&](const data::DistRelation& rel, bool is_r) {
+    std::vector<std::vector<std::vector<data::Tuple>>> recv(
+        8, std::vector<std::vector<data::Tuple>>(1u << radix_bits));
+    // Sources outermost: each (dst, p) list still receives src 0, 1,
+    // ... in order, as the per-partition definition above states.
+    for (int src = 0; src < 8; ++src) {
+      for (const data::Tuple& t : rel.shards[src]) {
+        const std::uint32_t p =
+            data::RadixPartition(t.key, rel.domain_bits, radix_bits);
+        std::vector<int> dests = pa.owners[p];
+        if (pa.IsSplit(p) && pa.split_broadcast_r[p] != is_r) dests = {src};
+        for (int d : dests) recv[d][p].push_back(t);
       }
     }
+    std::vector<data::PartitionedShard> out;
+    for (const auto& parts : recv) out.push_back(Flatten(parts));
+    return out;
+  };
+  const auto r_ref = naive(r, true);
+  const auto s_ref = naive(s, false);
+
+  auto expect_same = [](const std::vector<data::PartitionedShard>& a,
+                        const std::vector<data::PartitionedShard>& b,
+                        std::size_t t) {
+    ASSERT_EQ(a.size(), b.size()) << t;
+    for (std::size_t d = 0; d < a.size(); ++d) {
+      EXPECT_TRUE(a[d].offsets == b[d].offsets) << "gpu " << d << " " << t;
+      EXPECT_TRUE(a[d].tuples == b[d].tuples) << "gpu " << d << " " << t;
+    }
+  };
+  ThreadPool::SetDefaultThreads(1);
+  const join::ShuffleResult base = join::ShufflePartitions(
+      r, s, radix_bits, pa, gpus, join::ShuffleOptions{});
+  EXPECT_GT(base.moved_tuples, 0u);
+  expect_same(base.r_recv, r_ref, 1);
+  expect_same(base.s_recv, s_ref, 1);
+  for (std::size_t t : {3, 4, 8}) {
+    ThreadPool::SetDefaultThreads(t);
+    const join::ShuffleResult run = join::ShufflePartitions(
+        r, s, radix_bits, pa, gpus, join::ShuffleOptions{});
+    expect_same(run.r_recv, base.r_recv, t);
+    expect_same(run.s_recv, base.s_recv, t);
+    ASSERT_EQ(run.flows.size(), base.flows.size()) << t;
+    for (std::size_t i = 0; i < run.flows.size(); ++i) {
+      EXPECT_EQ(run.flows[i].id, base.flows[i].id) << t;
+      EXPECT_EQ(run.flows[i].src_gpu, base.flows[i].src_gpu) << t;
+      EXPECT_EQ(run.flows[i].dst_gpu, base.flows[i].dst_gpu) << t;
+      EXPECT_EQ(run.flows[i].bytes, base.flows[i].bytes) << t;
+    }
+    EXPECT_EQ(run.compressed_bytes, base.compressed_bytes) << t;
+    EXPECT_EQ(run.uncompressed_bytes, base.uncompressed_bytes) << t;
+    EXPECT_EQ(run.moved_tuples, base.moved_tuples) << t;
   }
   ThreadPool::SetDefaultThreads(0);
 }
@@ -307,7 +352,7 @@ TEST(DeterminismTest, LocalJoinPairOrderMatchesSerial) {
       sp[data::RadixPartition(t.key, s.domain_bits, radix_bits)]
           .push_back(t);
     }
-    return std::make_pair(rp, sp);
+    return std::make_pair(Flatten(rp), Flatten(sp));
   };
 
   join::LocalJoinOptions opts;

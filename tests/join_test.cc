@@ -217,6 +217,24 @@ TEST(ShuffleTest, VirtualScaleMultipliesFlowBytes) {
   }
 }
 
+TEST(ShuffleDeathTest, MismatchedKeyDomainsAreRejected) {
+  // Radix partitions of different key domains are different key
+  // ranges; co-partitions would silently misalign.
+  auto topo = topo::MakeDgx1V();
+  GenOptions opts;
+  opts.tuples_per_relation = 4096;
+  opts.num_gpus = 2;
+  auto [r, s] = MakeJoinInput(opts);
+  const auto pa = ComputeAssignment(*topo, topo::FirstNGpus(2),
+                                    BuildHistograms(r, 6),
+                                    BuildHistograms(s, 6),
+                                    AssignmentOptions{});
+  s.domain_bits = r.domain_bits + 1;
+  EXPECT_DEATH(ShufflePartitions(r, s, 6, pa, topo::FirstNGpus(2),
+                                 ShuffleOptions{}),
+               "r.domain_bits == s.domain_bits");
+}
+
 TEST(LocalJoinTest, MatchesReferenceOnSkewedData) {
   GenOptions opts;
   opts.tuples_per_relation = 50000;
@@ -225,8 +243,9 @@ TEST(LocalJoinTest, MatchesReferenceOnSkewedData) {
   auto [r, s] = MakeJoinInput(opts);
   const LocalJoinStats ref = ReferenceJoin(r, s);
 
-  std::vector<std::vector<data::Tuple>> rp{r.shards[0]};
-  std::vector<std::vector<data::Tuple>> sp{s.shards[0]};
+  // One received partition per side.
+  const data::PartitionedShard rp{r.shards[0], {0, r.shards[0].size()}};
+  const data::PartitionedShard sp{s.shards[0], {0, s.shards[0].size()}};
   LocalJoinOptions lo;
   lo.shared_mem_tuples = 512;
   const LocalJoinStats out = LocalPartitionAndProbe(&rp, &sp, lo);
@@ -235,26 +254,10 @@ TEST(LocalJoinTest, MatchesReferenceOnSkewedData) {
   EXPECT_GT(out.max_depth, 0);
 }
 
-TEST(LocalJoinTest, NestedLoopProbeMatchesHashProbe) {
-  GenOptions opts;
-  opts.tuples_per_relation = 20000;
-  opts.num_gpus = 1;
-  opts.key_zipf = 0.7;
-  auto [r, s] = MakeJoinInput(opts);
-  LocalJoinOptions hash, nl;
-  hash.shared_mem_tuples = nl.shared_mem_tuples = 256;
-  nl.probe = ProbeAlgorithm::kNestedLoop;
-  std::vector<std::vector<data::Tuple>> rp1{r.shards[0]}, sp1{s.shards[0]};
-  std::vector<std::vector<data::Tuple>> rp2{r.shards[0]}, sp2{s.shards[0]};
-  const LocalJoinStats a = LocalPartitionAndProbe(&rp1, &sp1, hash);
-  const LocalJoinStats b = LocalPartitionAndProbe(&rp2, &sp2, nl);
-  EXPECT_EQ(a.matches, b.matches);
-  EXPECT_EQ(a.checksum, b.checksum);
-}
-
 TEST(LocalJoinTest, EmptySidesProduceNothing) {
-  std::vector<std::vector<data::Tuple>> rp(4), sp(4);
-  rp[1] = {{1, 1}, {2, 2}};
+  // Four partitions; only R's partition 1 holds tuples.
+  const data::PartitionedShard rp{{{1, 1}, {2, 2}}, {0, 0, 2, 2, 2}};
+  const data::PartitionedShard sp{{}, {0, 0, 0, 0, 0}};
   const LocalJoinStats out = LocalPartitionAndProbe(&rp, &sp, {});
   EXPECT_EQ(out.matches, 0u);
 }
