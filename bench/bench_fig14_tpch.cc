@@ -34,6 +34,10 @@ int main() {
     mg_opts.join.virtual_scale = kVirtualSf / kFuncSf;
     dprj_opts.join = join::MgJoinOptions::Dprj();
     dprj_opts.join.virtual_scale = kVirtualSf / kFuncSf;
+    // Only the registry (host wall phases): these runs are not digested
+    // into the document, so a trace would only hold memory.
+    mg_opts.join.transfer.obs.metrics = rep.metrics();
+    dprj_opts.join.transfer.obs.metrics = rep.metrics();
 
     exec::Engine mg_eng(topo.get(), gpus, mg_opts);
     exec::Engine dprj_eng(topo.get(), gpus, dprj_opts);

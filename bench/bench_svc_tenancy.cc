@@ -24,9 +24,9 @@ svc::ServiceResult RunService(const topo::Topology* topo,
   opts.arbitration = arbitration;
   opts.inflight_limit = inflight;
   opts.join.virtual_scale = kPaperScale;
-  EnvObs& env = EnvObs::Instance();
-  env.Attach(&opts.join.transfer, *topo);
-  const std::size_t mark = env.EventsRecorded();
+  BenchReport& report = BenchReport::Instance();
+  report.Attach(&opts.join.transfer, *topo);
+  const std::size_t mark = report.EventsRecorded();
 
   std::vector<svc::QuerySpec> queries;
   for (int q = 0; q < kQueries; ++q) {
@@ -43,15 +43,10 @@ svc::ServiceResult RunService(const topo::Topology* topo,
 
   svc::QueryScheduler sched(topo, gpus, opts);
   svc::ServiceResult res = sched.Run(queries).ValueOrDie();
-  BenchReport& report = BenchReport::Instance();
-  if (report.enabled()) {
-    report.SetTopology(*topo, static_cast<int>(gpus.size()));
-    const double secs = sim::ToSeconds(res.tenancy.makespan);
-    report.AddRun(env.EventsSince(mark),
-                  secs <= 0 ? 0.0
-                            : static_cast<double>(res.net.payload_bytes) /
-                                  secs);
-  }
+  const double secs = sim::ToSeconds(res.tenancy.makespan);
+  const double bytes_per_s =
+      secs <= 0 ? 0.0 : static_cast<double>(res.net.payload_bytes) / secs;
+  report.AddRun(*topo, static_cast<int>(gpus.size()), mark, bytes_per_s);
   return res;
 }
 

@@ -42,7 +42,6 @@
 
 #include "common/logging.h"
 #include "common/units.h"
-#include "common/wallprof.h"
 #include "data/generator.h"
 #include "join/mg_join.h"
 #include "join/umj.h"
@@ -69,14 +68,21 @@ inline double BenchScaleDiv() {
   return div;
 }
 
-/// Process-wide observability sinks driven by the environment (see file
-/// comment). The instance is a function-local static so the trace file
-/// is written when the bench exits normally; a fatal-log hook flushes
-/// it on aborts too.
-class EnvObs {
+/// \brief The bench's process-wide state, driven by the environment
+/// (see file comment): the observability sinks every run attaches and
+/// the BENCH_<name>.json document.
+///
+/// One function-local static owns both, and its destructor reads only
+/// its own members, so exit order between statics cannot matter. On
+/// normal exit it writes the trace, metrics, telemetry and the bench
+/// document; a fatal-log hook flushes the sinks (not the document) on
+/// aborts too. With MGJ_BENCH_JSON set every run gets the metrics
+/// registry, whose `host.*.wall_us` counters become the document's
+/// `wall_phases` line.
+class BenchReport {
  public:
-  static EnvObs& Instance() {
-    static EnvObs instance;
+  static BenchReport& Instance() {
+    static BenchReport instance;
     return instance;
   }
 
@@ -87,12 +93,7 @@ class EnvObs {
     if (options->obs.trace == nullptr && capture_) {
       options->obs.trace = &trace_;
     }
-    if (options->obs.metrics == nullptr &&
-        (metrics_enabled_ || !telemetry_path_.empty())) {
-      // Telemetry implies metrics: the OpenMetrics exposition carries
-      // the registry families alongside the sampled series.
-      options->obs.metrics = &metrics_;
-    }
+    if (options->obs.metrics == nullptr) options->obs.metrics = metrics();
     if (options->obs.telemetry == nullptr && !telemetry_path_.empty()) {
       // One sampler per run: TelemetrySampler::Attach binds to a single
       // simulator, and each join/distribution run builds its own.
@@ -111,91 +112,20 @@ class EnvObs {
     }
   }
 
-  /// The shared recorder when any capture (MGJ_TRACE or MGJ_BENCH_JSON)
-  /// is on, nullptr otherwise.
-  obs::TraceRecorder* recorder() { return capture_ ? &trace_ : nullptr; }
+  /// The shared registry when anything reads it, nullptr otherwise.
+  /// Telemetry implies metrics: the OpenMetrics exposition carries the
+  /// registry families alongside the sampled series.
+  obs::MetricsRegistry* metrics() {
+    const bool on =
+        metrics_enabled_ || !telemetry_path_.empty() || json_enabled();
+    return on ? &metrics_ : nullptr;
+  }
 
   /// Bookmark for slicing one run's events out of the shared recorder.
   std::size_t EventsRecorded() const { return trace_.num_events(); }
-  std::vector<obs::TraceEvent> EventsSince(std::size_t from) const {
-    return capture_ ? trace_.ExportEvents(from)
-                    : std::vector<obs::TraceEvent>{};
-  }
 
-  /// Writes the trace file / prints metrics. Idempotent; runs from the
-  /// destructor on normal exit and from the AtFatal hook on aborts. An
-  /// engine folds its net.* counters into the registry when it is
-  /// destroyed, so an abort flush shows none for the run that aborted.
-  void Flush() {
-    if (flushed_) return;
-    flushed_ = true;
-    if (!trace_path_.empty()) {
-      const Status st = trace_.WriteFile(trace_path_);
-      std::fprintf(stderr, "# MGJ_TRACE: %s (%zu events): %s\n",
-                   trace_path_.c_str(), trace_.num_events(),
-                   st.ok() ? "written" : st.ToString().c_str());
-    }
-    if (metrics_enabled_) {
-      std::fprintf(stderr, "# MGJ_METRICS\n%s",
-                   metrics_.Summary().c_str());
-    }
-    if (!telemetry_path_.empty()) {
-      std::vector<const obs::TelemetrySampler*> runs;
-      runs.reserve(samplers_.size());
-      for (const auto& s : samplers_) runs.push_back(s.get());
-      const Status st = obs::WriteTextFile(
-          telemetry_path_, obs::OpenMetricsText(&metrics_, runs));
-      std::fprintf(stderr, "# MGJ_TELEMETRY: %s (%zu runs): %s\n",
-                   telemetry_path_.c_str(), runs.size(),
-                   st.ok() ? "written" : st.ToString().c_str());
-    }
-  }
-
- private:
-  EnvObs() {
-    const char* t = std::getenv("MGJ_TRACE");
-    if (t != nullptr && *t != '\0') trace_path_ = t;
-    const char* m = std::getenv("MGJ_METRICS");
-    metrics_enabled_ = m != nullptr && *m != '\0' && *m != '0';
-    const char* f = std::getenv("MGJ_FAULTS");
-    if (f != nullptr && *f != '\0') fault_spec_ = f;
-    const char* om = std::getenv("MGJ_TELEMETRY");
-    if (om != nullptr && *om != '\0') telemetry_path_ = om;
-    sample_every_ = obs::TelemetrySampler::IntervalFromEnv();
-    const char* bj = std::getenv("MGJ_BENCH_JSON");
-    capture_ = !trace_path_.empty() || (bj != nullptr && *bj != '\0');
-    if (!trace_path_.empty() || metrics_enabled_ ||
-        !telemetry_path_.empty()) {
-      AtFatal([this] { Flush(); });
-    }
-  }
-
-  ~EnvObs() { Flush(); }
-
-  std::string trace_path_;
-  std::string fault_spec_;
-  std::string telemetry_path_;
-  bool metrics_enabled_ = false;
-  bool capture_ = false;
-  bool flushed_ = false;
-  obs::TraceRecorder trace_;
-  obs::MetricsRegistry metrics_;
-  sim::SimTime sample_every_ = obs::TelemetrySampler::kDefaultInterval;
-  std::vector<std::unique_ptr<obs::TelemetrySampler>> samplers_;
-};
-
-/// \brief Builds and writes the bench's BENCH_<name>.json when
-/// MGJ_BENCH_JSON=<dir> is set (no-op otherwise). Series points mirror
-/// the printed text table; run digests come from the shared trace
-/// recorder via EnvObs event slices.
-class BenchReport {
- public:
-  static BenchReport& Instance() {
-    static BenchReport instance;
-    return instance;
-  }
-
-  bool enabled() const { return !dir_.empty(); }
+  /// True when MGJ_BENCH_JSON names a directory for the bench document.
+  bool json_enabled() const { return !json_dir_.empty(); }
 
   /// First call names the document (one BENCH_<slug>.json per binary);
   /// later calls — binaries printing several figure banners — append to
@@ -221,20 +151,24 @@ class BenchReport {
   /// Declares a series' unit and regression direction (call before the
   /// points; default is higher-is-better, empty unit).
   void Meta(const char* series, const char* unit, bool higher_is_better) {
-    if (enabled()) doc_.SetSeriesMeta(series, unit, higher_is_better);
+    if (json_enabled()) doc_.SetSeriesMeta(series, unit, higher_is_better);
   }
 
   void Point(const char* series, double x, double y) {
-    if (enabled()) doc_.AddPoint(series, x, y);
+    if (json_enabled()) doc_.AddPoint(series, x, y);
   }
   void Point(const char* series, const std::string& xlabel, double y) {
-    if (enabled()) doc_.AddPoint(series, xlabel, y);
+    if (json_enabled()) doc_.AddPoint(series, xlabel, y);
   }
 
-  /// Digests one run's trace slice into the document.
-  void AddRun(const std::vector<obs::TraceEvent>& events,
+  /// Digests the events recorded since `mark` (an EventsRecorded()
+  /// bookmark) as one run of the document.
+  void AddRun(const topo::Topology& topo, int gpus, std::size_t mark,
               double tuples_per_s) {
-    if (!enabled() || events.empty()) return;
+    if (!json_enabled()) return;
+    SetTopology(topo, gpus);
+    const std::vector<obs::TraceEvent> events = trace_.ExportEvents(mark);
+    if (events.empty()) return;
     const obs::report::RunReport rep = obs::report::BuildRunReport(events);
     doc_.runs.push_back(obs::DigestRun(
         rep, "run" + std::to_string(doc_.runs.size()), tuples_per_s));
@@ -242,20 +176,78 @@ class BenchReport {
 
  private:
   BenchReport() : start_(std::chrono::steady_clock::now()) {
-    const char* d = std::getenv("MGJ_BENCH_JSON");
-    if (d != nullptr && *d != '\0') dir_ = d;
+    const char* t = std::getenv("MGJ_TRACE");
+    if (t != nullptr && *t != '\0') trace_path_ = t;
+    const char* m = std::getenv("MGJ_METRICS");
+    metrics_enabled_ = m != nullptr && *m != '\0' && *m != '0';
+    const char* f = std::getenv("MGJ_FAULTS");
+    if (f != nullptr && *f != '\0') fault_spec_ = f;
+    const char* om = std::getenv("MGJ_TELEMETRY");
+    if (om != nullptr && *om != '\0') telemetry_path_ = om;
+    sample_every_ = obs::TelemetrySampler::IntervalFromEnv();
+    const char* bj = std::getenv("MGJ_BENCH_JSON");
+    if (bj != nullptr && *bj != '\0') json_dir_ = bj;
     const char* gc = std::getenv("MGJ_GIT_COMMIT");
     if (gc != nullptr && *gc != '\0') doc_.git_commit = gc;
+    capture_ = !trace_path_.empty() || json_enabled();
+    if (!trace_path_.empty() || metrics_enabled_ ||
+        !telemetry_path_.empty()) {
+      AtFatal([this] { Flush(); });
+    }
   }
 
   ~BenchReport() {
-    if (!enabled() || doc_.name.empty()) return;
+    Flush();
+    WriteDoc();
+  }
+
+  /// Writes the trace file / prints metrics / writes telemetry.
+  /// Idempotent; runs from the destructor on normal exit and from the
+  /// AtFatal hook on aborts. An engine folds its net.* counters into the
+  /// registry when it is destroyed, so an abort flush shows none for the
+  /// run that aborted.
+  void Flush() {
+    if (flushed_) return;
+    flushed_ = true;
+    if (!trace_path_.empty()) {
+      const Status st = trace_.WriteFile(trace_path_);
+      std::fprintf(stderr, "# MGJ_TRACE: %s (%zu events): %s\n",
+                   trace_path_.c_str(), trace_.num_events(),
+                   st.ok() ? "written" : st.ToString().c_str());
+    }
+    if (metrics_enabled_) {
+      std::fprintf(stderr, "# MGJ_METRICS\n%s",
+                   metrics_.Summary().c_str());
+    }
+    if (!telemetry_path_.empty()) {
+      std::vector<const obs::TelemetrySampler*> runs;
+      runs.reserve(samplers_.size());
+      for (const auto& s : samplers_) runs.push_back(s.get());
+      const Status st = obs::WriteTextFile(
+          telemetry_path_, obs::OpenMetricsText(&metrics_, runs));
+      std::fprintf(stderr, "# MGJ_TELEMETRY: %s (%zu runs): %s\n",
+                   telemetry_path_.c_str(), runs.size(),
+                   st.ok() ? "written" : st.ToString().c_str());
+    }
+  }
+
+  /// Writes BENCH_<name>.json (normal exit only).
+  void WriteDoc() {
+    if (!json_enabled() || doc_.name.empty()) return;
     doc_.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    doc_.wall_phases = WallProfiler::Global().Phases();
-    const std::string path = dir_ + "/BENCH_" + doc_.name + ".json";
+    const std::string suffix = ".wall_us";
+    for (const auto& [name, counter] : metrics_.counters()) {
+      if (name.starts_with("host.") && name.ends_with(suffix)) {
+        doc_.wall_phases.emplace_back(
+            name.substr(0, name.size() - suffix.size()),
+            static_cast<double>(counter.value()) / 1e6);
+      }
+    }
+    std::sort(doc_.wall_phases.begin(), doc_.wall_phases.end());
+    const std::string path = json_dir_ + "/BENCH_" + doc_.name + ".json";
     const std::string json = doc_.ToJson();
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -268,7 +260,17 @@ class BenchReport {
     std::fprintf(stderr, "# MGJ_BENCH_JSON: %s written\n", path.c_str());
   }
 
-  std::string dir_;
+  std::string trace_path_;
+  std::string fault_spec_;
+  std::string telemetry_path_;
+  std::string json_dir_;
+  bool metrics_enabled_ = false;
+  bool capture_ = false;
+  bool flushed_ = false;
+  obs::TraceRecorder trace_;
+  obs::MetricsRegistry metrics_;
+  sim::SimTime sample_every_ = obs::TelemetrySampler::kDefaultInterval;
+  std::vector<std::unique_ptr<obs::TelemetrySampler>> samplers_;
   obs::BenchDoc doc_;
   std::chrono::steady_clock::time_point start_;
 };
@@ -318,16 +320,12 @@ inline join::JoinResult RunJoin(const topo::Topology* topo,
                                 join::MgJoinOptions opts,
                                 double virtual_scale = kPaperScale) {
   opts.virtual_scale = virtual_scale;
-  EnvObs& env = EnvObs::Instance();
-  env.Attach(&opts.transfer, *topo);
-  const std::size_t mark = env.EventsRecorded();
+  BenchReport& report = BenchReport::Instance();
+  report.Attach(&opts.transfer, *topo);
+  const std::size_t mark = report.EventsRecorded();
   join::MgJoin j(topo, gpus, opts);
   join::JoinResult res = j.Execute(r, s).ValueOrDie();
-  BenchReport& report = BenchReport::Instance();
-  if (report.enabled()) {
-    report.SetTopology(*topo, static_cast<int>(gpus.size()));
-    report.AddRun(env.EventsSince(mark), res.Throughput());
-  }
+  report.AddRun(*topo, static_cast<int>(gpus.size()), mark, res.Throughput());
   return res;
 }
 
@@ -383,9 +381,9 @@ inline DistributionRun RunDistribution(const topo::Topology* topo,
                                        net::PolicyKind kind,
                                        net::TransferOptions options = {}) {
   sim::Simulator s;
-  EnvObs& env = EnvObs::Instance();
-  env.Attach(&options, *topo);
-  const std::size_t mark = env.EventsRecorded();
+  BenchReport& report = BenchReport::Instance();
+  report.Attach(&options, *topo);
+  const std::size_t mark = report.EventsRecorded();
   auto policy = net::MakePolicy(kind, options.max_intermediates);
   net::TransferEngine eng(&s, topo, gpus, policy.get(), options);
   for (const net::Flow& f : flows) eng.AddFlow(f);
@@ -406,11 +404,7 @@ inline DistributionRun RunDistribution(const topo::Topology* topo,
     // achieved-vs-peak bisection bandwidth for bare shuffles too.
     net::TraceBisection(options.obs.trace, cut);
   }
-  BenchReport& report = BenchReport::Instance();
-  if (report.enabled()) {
-    report.SetTopology(*topo, static_cast<int>(gpus.size()));
-    report.AddRun(env.EventsSince(mark), 0.0);
-  }
+  report.AddRun(*topo, static_cast<int>(gpus.size()), mark, 0.0);
   return run;
 }
 

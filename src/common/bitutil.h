@@ -19,17 +19,9 @@ inline std::uint64_t NextPow2(std::uint64_t n) {
   return 1ull << Log2Ceil(n);
 }
 
-inline bool IsPow2(std::uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
 /// Integer division rounding up.
 inline std::uint64_t CeilDiv(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
-}
-
-/// Extracts `bits` bits of `x` starting at bit `shift` (LSB order).
-inline std::uint32_t ExtractBits(std::uint32_t x, int shift, int bits) {
-  if (bits <= 0) return 0;
-  return (x >> shift) & ((bits >= 32) ? 0xFFFFFFFFu : ((1u << bits) - 1u));
 }
 
 }  // namespace mgjoin

@@ -17,16 +17,6 @@ inline std::uint32_t HashKey(std::uint32_t k) {
   return k;
 }
 
-/// 64-bit variant (splitmix64 finalizer) for wide keys in the TPC-H layer.
-inline std::uint64_t HashKey64(std::uint64_t k) {
-  k ^= k >> 30;
-  k *= 0xBF58476D1CE4E5B9ull;
-  k ^= k >> 27;
-  k *= 0x94D049BB133111EBull;
-  k ^= k >> 31;
-  return k;
-}
-
 }  // namespace mgjoin
 
 #endif  // MGJOIN_COMMON_HASH_H_

@@ -88,14 +88,6 @@ struct DistTable {
     return n;
   }
   int num_shards() const { return static_cast<int>(shards.size()); }
-
-  /// Global row id of local row `i` in shard `s` (shards are stacked in
-  /// order). Used to address rows in materialized join pairs.
-  std::uint64_t GlobalRow(int s, std::uint64_t i) const {
-    std::uint64_t base = 0;
-    for (int j = 0; j < s; ++j) base += shards[j].rows();
-    return base + i;
-  }
 };
 
 /// Days since 1970-01-01 for a calendar date (proleptic Gregorian).

@@ -1,13 +1,11 @@
 #include "join/mg_join.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "common/wallprof.h"
 #include "gpusim/kernel_model.h"
 #include "join/histogram.h"
 #include "join/shuffle.h"
@@ -25,38 +23,6 @@ std::uint64_t Scale(std::uint64_t n, double s) {
   return static_cast<std::uint64_t>(
       std::llround(static_cast<double>(n) * s));
 }
-
-// Times one host-side execution phase: wall seconds accumulate in the
-// global WallProfiler (surfaced as the bench JSON `wall_phases` line)
-// and, when metrics are attached, in a `<name>.wall_us` counter. Never
-// writes to the trace recorder — traces carry only simulated time and
-// must stay byte-identical across thread counts.
-class HostPhase {
- public:
-  HostPhase(std::string name, obs::MetricsRegistry* metrics)
-      : name_(std::move(name)),
-        metrics_(metrics),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~HostPhase() {
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
-    WallProfiler::Global().Add(name_, s);
-    if (metrics_ != nullptr) {
-      metrics_->counter(name_ + ".wall_us")
-          .Add(static_cast<std::uint64_t>(s * 1e6));
-    }
-  }
-
-  HostPhase(const HostPhase&) = delete;
-  HostPhase& operator=(const HostPhase&) = delete;
-
- private:
-  std::string name_;
-  obs::MetricsRegistry* metrics_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -101,7 +67,7 @@ Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
           ? options_.radix_bits_override
           : RadixBitsFor(options_.gpu, r.domain_bits);
   auto timed = [&](const char* name, auto&& fn) {
-    HostPhase phase(name, host_metrics);
+    obs::HostPhase phase(name, host_metrics);
     return fn();
   };
   const HistogramSet hist_r =
@@ -146,7 +112,7 @@ Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
   }
 
   // ---- Phase 3 + 4: local partitioning and probe, per GPU.
-  HostPhase local_phase("host.local_join", host_metrics);
+  obs::HostPhase local_phase("host.local_join", host_metrics);
   p.lp_time.assign(g, 0);
   p.probe_time.assign(g, 0);
   p.recv_tuples.assign(g, 0);
@@ -228,7 +194,7 @@ net::TransferStats MgJoin::Distribute(const std::vector<net::Flow>& flows,
       });
   for (const net::Flow& f : flows) engine.AddFlow(f);
   {
-    HostPhase net_phase("host.network_sim", options.obs.metrics);
+    obs::HostPhase net_phase("host.network_sim", options.obs.metrics);
     engine.Start();
     net_sim.Run();
   }

@@ -18,7 +18,7 @@
 namespace mgjoin::join {
 
 /// Options of the partitioned multi-GPU join. Defaults reproduce
-/// MG-Join; DprjOptions() reproduces the DPRJ baseline.
+/// MG-Join; Dprj() reproduces the DPRJ baseline.
 struct MgJoinOptions {
   /// Routing policy for the data-distribution step.
   net::PolicyKind policy = net::PolicyKind::kAdaptive;

@@ -164,9 +164,6 @@ class LinkStateTable {
     fault_cb_ = std::move(cb);
   }
 
-  /// Current per-link health overlay.
-  const topo::LinkAvailabilityView& availability() const { return avail_; }
-
   bool LinkUp(int link_id) const { return avail_.Up(link_id); }
 
   /// True if every physical link of `ch` is up.

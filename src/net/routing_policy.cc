@@ -25,6 +25,25 @@ const char* PolicyKindName(PolicyKind kind) {
   return "?";
 }
 
+bool ParsePolicyKind(const std::string& text, PolicyKind* out) {
+  if (text == "adaptive") {
+    *out = PolicyKind::kAdaptive;
+  } else if (text == "direct") {
+    *out = PolicyKind::kDirect;
+  } else if (text == "bandwidth") {
+    *out = PolicyKind::kBandwidth;
+  } else if (text == "hopcount") {
+    *out = PolicyKind::kHopCount;
+  } else if (text == "latency") {
+    *out = PolicyKind::kLatency;
+  } else if (text == "centralized") {
+    *out = PolicyKind::kCentralized;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 sim::SimTime ArmValue(const topo::Route& route, std::uint64_t packet_bytes,
                       int num_packets, const LinkStateTable& state,
                       bool published) {

@@ -23,6 +23,10 @@ enum class PolicyKind {
 
 const char* PolicyKindName(PolicyKind kind);
 
+/// Parses a lower-case policy name (adaptive, direct, bandwidth,
+/// hopcount, latency, centralized); false if unknown.
+bool ParsePolicyKind(const std::string& text, PolicyKind* out);
+
 /// \brief Chooses a route for each batch of packets.
 ///
 /// Policies see the fabric through a LinkStateTable: static policies

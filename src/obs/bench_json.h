@@ -65,9 +65,9 @@ struct BenchDoc {
   std::string git_commit = "unknown";
   double wall_seconds = 0.0;
   /// Host wall-time breakdown by phase (name, seconds) from the
-  /// WallProfiler. Volatile like `wall_seconds`: serialized on a single
-  /// line so determinism checks can strip it alongside the other
-  /// machine-dependent fields.
+  /// `host.*.wall_us` metrics counters, sorted by name. Volatile like
+  /// `wall_seconds`: serialized on a single line so determinism checks
+  /// can strip it alongside the other machine-dependent fields.
   std::vector<std::pair<std::string, double>> wall_phases;
   std::vector<Series> series;
   std::vector<Run> runs;

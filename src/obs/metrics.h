@@ -1,6 +1,7 @@
 #ifndef MGJOIN_OBS_METRICS_H_
 #define MGJOIN_OBS_METRICS_H_
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -144,6 +145,35 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// \brief Times one host-side phase into the `<name>.wall_us` counter
+/// of `metrics`, the one sink of host wall time. With no registry it
+/// does nothing, not even read the clock. Wall time never reaches the
+/// trace recorder: traces carry only simulated time and stay
+/// byte-identical across machines and thread counts.
+class HostPhase {
+ public:
+  HostPhase(const char* name, MetricsRegistry* metrics)
+      : name_(name), metrics_(metrics) {
+    if (metrics_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+
+  ~HostPhase() {
+    if (metrics_ == nullptr) return;
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - start_);
+    metrics_->counter(std::string(name_) + ".wall_us")
+        .Add(static_cast<std::uint64_t>(us.count()));
+  }
+
+  HostPhase(const HostPhase&) = delete;
+  HostPhase& operator=(const HostPhase&) = delete;
+
+ private:
+  const char* name_;
+  MetricsRegistry* metrics_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace mgjoin::obs

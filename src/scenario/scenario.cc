@@ -58,18 +58,6 @@ Result<bool> ParseOnOff(const std::string& key, const std::string& v) {
   return Status::InvalidArgument(key + ": '" + v + "' is not on|off");
 }
 
-const std::map<std::string, net::PolicyKind>& PolicyNames() {
-  static const std::map<std::string, net::PolicyKind> kinds{
-      {"adaptive", net::PolicyKind::kAdaptive},
-      {"direct", net::PolicyKind::kDirect},
-      {"bandwidth", net::PolicyKind::kBandwidth},
-      {"hopcount", net::PolicyKind::kHopCount},
-      {"latency", net::PolicyKind::kLatency},
-      {"centralized", net::PolicyKind::kCentralized},
-  };
-  return kinds;
-}
-
 }  // namespace
 
 std::string ScenarioSpec::ToText() const {
@@ -110,9 +98,9 @@ int ScenarioSpec::ResolvedGpus(const topo::Topology& topo) const {
 }
 
 net::PolicyKind ScenarioSpec::PolicyKind() const {
-  const auto it = PolicyNames().find(policy);
-  return it == PolicyNames().end() ? net::PolicyKind::kAdaptive
-                                   : it->second;
+  net::PolicyKind kind = net::PolicyKind::kAdaptive;
+  net::ParsePolicyKind(policy, &kind);
+  return kind;
 }
 
 Result<ScenarioSpec> ParseScenario(const std::string& text) {
@@ -245,7 +233,7 @@ Status ValidateScenario(const ScenarioSpec& spec) {
         "topology '" + spec.topology +
         "' unknown (want dgx1|dgxstation|dgx2|single)");
   }
-  if (PolicyNames().count(spec.policy) == 0) {
+  if (net::PolicyKind kind; !net::ParsePolicyKind(spec.policy, &kind)) {
     return Status::InvalidArgument(
         "policy '" + spec.policy +
         "' unknown (want adaptive|direct|bandwidth|hopcount|latency|"

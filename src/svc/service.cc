@@ -213,8 +213,11 @@ Result<ServiceResult> QueryScheduler::Run(
     });
   }
 
-  engine.Start();  // no pre-start flows: queries admit dynamically
-  sim.Run();
+  {
+    obs::HostPhase net_phase("host.network_sim", topts.obs.metrics);
+    engine.Start();  // no pre-start flows: queries admit dynamically
+    sim.Run();
+  }
   MGJ_CHECK(engine.AllDone()) << "service run did not drain the fabric";
 
   // ---- Assemble the report (admission order).

@@ -68,7 +68,6 @@
 #include "exec/engine.h"
 #include "join/mg_join.h"
 #include "net/fault_plan.h"
-#include "join/umj.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -121,23 +120,42 @@ Args ParseArgs(int argc, char** argv, int first) {
   return a;
 }
 
-std::unique_ptr<topo::Topology> MakeMachine(const std::string& name) {
+// The --machine topology; reports an unknown name and returns null.
+std::unique_ptr<topo::Topology> MakeMachine(const Args& args) {
+  const std::string name = args.Get("machine", "dgx1");
+  if (name == "dgx1") return topo::MakeDgx1V();
   if (name == "dgxstation") return topo::MakeDgxStation();
   if (name == "dgx2") return topo::MakeDgx2();
-  return topo::MakeDgx1V();
+  std::fprintf(stderr, "bad --machine '%s' (want dgx1|dgxstation|dgx2)\n",
+               name.c_str());
+  return nullptr;
 }
 
-net::PolicyKind ParsePolicy(const std::string& p) {
-  if (p == "direct") return net::PolicyKind::kDirect;
-  if (p == "bandwidth") return net::PolicyKind::kBandwidth;
-  if (p == "hopcount") return net::PolicyKind::kHopCount;
-  if (p == "latency") return net::PolicyKind::kLatency;
-  if (p == "centralized") return net::PolicyKind::kCentralized;
-  return net::PolicyKind::kAdaptive;
+// The --policy routing policy; reports an unknown name and returns false.
+bool ParsePolicy(const Args& args, net::PolicyKind* out) {
+  const std::string p = args.Get("policy", "adaptive");
+  if (net::ParsePolicyKind(p, out)) return true;
+  std::fprintf(stderr,
+               "bad --policy '%s' (want adaptive|direct|bandwidth|"
+               "hopcount|latency|centralized)\n",
+               p.c_str());
+  return false;
+}
+
+// The per-GPU --tuples count (default `dflt`); reports a value below 1
+// and returns 0.
+std::uint64_t TuplesPerGpu(const Args& args, long long dflt) {
+  const long long n = args.GetI("tuples", dflt);
+  if (n < 1) {
+    std::fprintf(stderr, "tuples must be >= 1\n");
+    return 0;
+  }
+  return static_cast<std::uint64_t>(n);
 }
 
 int CmdTopo(const Args& args) {
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
+  if (topo == nullptr) return 1;
   std::printf("%s", topo->ToString().c_str());
   const auto gpus = topo::AllGpus(*topo);
   std::printf("bisection bandwidth (%d GPUs): %s\n", topo->num_gpus(),
@@ -153,10 +171,20 @@ int CmdTopo(const Args& args) {
 }
 
 int CmdJoin(const Args& args) {
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
+  if (topo == nullptr) return 1;
   const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
   if (g < 1 || g > topo->num_gpus()) {
     std::fprintf(stderr, "gpus must be 1..%d\n", topo->num_gpus());
+    return 1;
+  }
+  const std::uint64_t tuples = TuplesPerGpu(args, 1 << 20);
+  if (tuples == 0) return 1;
+  join::MgJoinOptions opts;
+  if (!ParsePolicy(args, &opts.policy)) return 1;
+  const long long packet_kb = args.GetI("packet-kb", 2048);
+  if (packet_kb < 1) {
+    std::fprintf(stderr, "packet-kb must be >= 1\n");
     return 1;
   }
   // Host thread count must be applied before the (parallel) generator
@@ -167,18 +195,14 @@ int CmdJoin(const Args& args) {
   }
 
   data::GenOptions gen;
-  gen.tuples_per_relation =
-      static_cast<std::uint64_t>(args.GetI("tuples", 1 << 20)) * g;
+  gen.tuples_per_relation = tuples * static_cast<std::uint64_t>(g);
   gen.num_gpus = g;
   gen.placement_zipf = args.GetD("zipf", 0.0);
   gen.key_zipf = args.GetD("key-zipf", 0.0);
   auto [r, s] = data::MakeJoinInput(gen);
 
-  join::MgJoinOptions opts;
   opts.host_threads = threads;
-  opts.policy = ParsePolicy(args.Get("policy", "adaptive"));
-  opts.transfer.packet_bytes =
-      static_cast<std::uint64_t>(args.GetI("packet-kb", 2048)) * kKiB;
+  opts.transfer.packet_bytes = static_cast<std::uint64_t>(packet_kb) * kKiB;
   opts.use_compression = !args.Has("no-compression");
   opts.virtual_scale = args.GetD("scale", 1.0);
 
@@ -297,11 +321,10 @@ int CmdJoin(const Args& args) {
 // MG-Join queries interleave on one shared fabric behind an admission
 // queue, under the selected link-arbitration policy. Prints the
 // per-query outcome table (latency, queue delay, slowdown-vs-solo) and
-// the SLO quantile line. --inflight and --arbitration fall back to the
-// MGJ_INFLIGHT / MGJ_ARBITRATION environment variables when the flags
-// are absent.
+// the SLO quantile line.
 int CmdServe(const Args& args) {
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
+  if (topo == nullptr) return 1;
   const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
   if (g < 1 || g > topo->num_gpus()) {
     std::fprintf(stderr, "gpus must be 1..%d\n", topo->num_gpus());
@@ -313,26 +336,23 @@ int CmdServe(const Args& args) {
     return 1;
   }
 
-  const char* env_inflight = std::getenv("MGJ_INFLIGHT");
-  long long inflight_dflt =
-      env_inflight != nullptr ? std::atoll(env_inflight) : 0;
-  const char* env_arb = std::getenv("MGJ_ARBITRATION");
-  std::string arb_dflt = env_arb != nullptr ? env_arb : "fifo";
+  const std::uint64_t tuples = TuplesPerGpu(args, 8192);
+  if (tuples == 0) return 1;
 
   svc::ServiceOptions opts;
-  opts.inflight_limit = static_cast<int>(args.GetI("inflight", inflight_dflt));
+  opts.inflight_limit = static_cast<int>(args.GetI("inflight", 0));
   if (opts.inflight_limit < 0) {
     std::fprintf(stderr, "inflight must be >= 0\n");
     return 1;
   }
-  const std::string arb_text = args.Get("arbitration", arb_dflt);
+  const std::string arb_text = args.Get("arbitration", "fifo");
   if (!net::ParseArbitration(arb_text, &opts.arbitration)) {
     std::fprintf(stderr, "bad --arbitration '%s' (want fifo|fair|priority)\n",
                  arb_text.c_str());
     return 1;
   }
   opts.measure_solo = !args.Has("no-solo");
-  opts.join.policy = ParsePolicy(args.Get("policy", "adaptive"));
+  if (!ParsePolicy(args, &opts.join.policy)) return 1;
   opts.join.virtual_scale = args.GetD("scale", 256.0);
   const int threads = static_cast<int>(args.GetI("threads", 0));
   opts.join.host_threads = threads;
@@ -365,8 +385,7 @@ int CmdServe(const Args& args) {
   for (int q = 0; q < queries; ++q) {
     svc::QuerySpec qs;
     qs.query_id = static_cast<std::uint64_t>(q + 1);
-    qs.gen.tuples_per_relation =
-        static_cast<std::uint64_t>(args.GetI("tuples", 8192)) * g;
+    qs.gen.tuples_per_relation = tuples * static_cast<std::uint64_t>(g);
     qs.gen.num_gpus = g;
     qs.gen.placement_zipf = args.GetD("zipf", 0.0);
     qs.gen.key_zipf = args.GetD("key-zipf", 0.0);
@@ -428,7 +447,8 @@ int CmdTpch(const Args& args) {
   const std::string which = args.Get("query", "all");
   const double sf = args.GetD("sf", 0.05);
   const double vsf = args.GetD("virtual-sf", 250.0);
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
+  if (topo == nullptr) return 1;
   const auto gpus = topo::AllGpus(*topo);
   const tpch::TpchData db = tpch::GenerateTpch(sf, topo->num_gpus());
 
@@ -575,10 +595,8 @@ void Usage() {
                "--sample-every=250us\n"
                "        --faults=down:gpu0-gpu3:@5ms,degrade:qpi0:0.5:@10ms,"
                "flap:nvlink2:@1ms:500usx3\n"
-               "  serve --queries N --inflight N (0 = unlimited; env "
-               "MGJ_INFLIGHT)\n"
-               "        --arbitration fifo|fair|priority (env "
-               "MGJ_ARBITRATION)\n"
+               "  serve --queries N --inflight N (0 = unlimited)\n"
+               "        --arbitration fifo|fair|priority\n"
                "        concurrent joins on one shared fabric; prints "
                "per-query latency,\n"
                "        queue delay, slowdown-vs-solo and SLO quantiles\n"

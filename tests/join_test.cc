@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "data/generator.h"
@@ -415,6 +417,28 @@ TEST(MgJoinTest, SingleGpuHasNoNetworkTraffic) {
   EXPECT_EQ(res.value().matches, 30000u);
   EXPECT_EQ(res.value().shuffled_bytes, 0u);
   EXPECT_EQ(res.value().net.packets, 0u);
+}
+
+TEST(MgJoinTest, HostPhasesTimeIntoTheAttachedRegistry) {
+  // The attached registry is the one sink of host wall time: each host
+  // phase of the pipeline leaves exactly one `<phase>.wall_us` counter.
+  auto topo = topo::MakeDgx1V();
+  GenOptions opts;
+  opts.tuples_per_relation = 30000;
+  opts.num_gpus = 4;
+  auto [r, s] = MakeJoinInput(opts);
+  obs::MetricsRegistry metrics;
+  MgJoinOptions jopts;
+  jopts.transfer.obs.metrics = &metrics;
+  ASSERT_TRUE(
+      MgJoin(topo.get(), topo::FirstNGpus(4), jopts).Execute(r, s).ok());
+  std::vector<std::string> wall;
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (name.ends_with(".wall_us")) wall.push_back(name);
+  }
+  EXPECT_EQ(wall, (std::vector<std::string>{
+                      "host.histogram.wall_us", "host.local_join.wall_us",
+                      "host.network_sim.wall_us", "host.shuffle.wall_us"}));
 }
 
 TEST(MgJoinTest, UmjDegradesWithGpuCountAtFixedPerGpuLoad) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -252,6 +253,24 @@ TEST(QuerySchedulerTest, SoloQueryMatchesExecute) {
     EXPECT_EQ(out.matches, direct.value().matches);
     EXPECT_EQ(served.value().checksum, direct.value().checksum);
   }
+}
+
+TEST(QuerySchedulerTest, HostPhasesTimeIntoTheAttachedRegistry) {
+  // Same four wall-time counters as MgJoin::Execute; the shared fabric
+  // run is the scheduler's host.network_sim phase.
+  auto topo = MakeDgx1V();
+  obs::MetricsRegistry metrics;
+  svc::ServiceOptions opts;
+  opts.join.transfer.obs.metrics = &metrics;
+  svc::QueryScheduler sched(topo.get(), topo::FirstNGpus(4), opts);
+  ASSERT_TRUE(sched.Run({SmallQuery(1), SmallQuery(2)}).ok());
+  std::vector<std::string> wall;
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (name.ends_with(".wall_us")) wall.push_back(name);
+  }
+  EXPECT_EQ(wall, (std::vector<std::string>{
+                      "host.histogram.wall_us", "host.local_join.wall_us",
+                      "host.network_sim.wall_us", "host.shuffle.wall_us"}));
 }
 
 TEST(QuerySchedulerTest, InflightLimitSerializesAdmissions) {
